@@ -8,6 +8,7 @@ findings never fail a run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -67,7 +68,21 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    """Write text to path, replacing a regular file only once the new
+    bytes are complete, so a failed run leaves the earlier output as it
+    was. Pipes and devices such as /dev/stdout are written in place."""
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        target.write_text(text, encoding="utf-8")
+        return
+    target = target.resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _print_ingest_report(label: str, report: IngestReport, out) -> None:

@@ -106,7 +106,8 @@ class IngestReport:
 
 
 def _rows(text: str, expected_header: list[str]):
-    reader = csv.reader(io.StringIO(text))
+    # Excel's "CSV UTF-8" export starts with a byte order mark
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

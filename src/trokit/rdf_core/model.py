@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from typing import Union
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_BAD_IRI_CHAR_RE = re.compile(r"[\s<>]")
+# The characters RDF 1.1 IRIREF excludes, as the body of a regex class.
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+_BAD_IRI_CHAR_RE = re.compile(f"[{_IRI_EXCLUDED}]")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _LANG_TAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 
@@ -41,8 +43,9 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        if _BAD_IRI_CHAR_RE.search(self.value):
-            raise ValueError(f"IRI contains whitespace or angle brackets: {self.value!r}")
+        bad = _BAD_IRI_CHAR_RE.search(self.value)
+        if bad:
+            raise ValueError(f"IRI contains disallowed character {bad.group()!r}: {self.value!r}")
         if not _SCHEME_RE.match(self.value):
             raise ValueError(f"IRI is not absolute (no scheme): {self.value!r}")
 

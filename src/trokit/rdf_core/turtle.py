@@ -10,6 +10,17 @@ construct): collections, anonymous blank node property lists ``[]``,
 base directives and relative IRIs, boolean and double shorthand,
 single-quoted strings.
 
+The tokenizer is one compiled pattern, ``_TOKEN_RE``, matched at
+successive offsets: each match consumes the whitespace and comments
+before a token and then the token, named by its group. Tokens are
+``(kind, value, offset)`` tuples that the parser pulls one at a time,
+so the token stream is never held in memory. Where the pattern does not
+match, ``_diagnose`` inspects the text there and raises the error.
+Positions are worked out from the offset only when a ``ParseError`` is
+raised: lines end at ``\n`` and columns count code points from 1.
+Escapes must name a Unicode scalar value; a surrogate or a code point
+above U+10FFFF is a parse error at its backslash.
+
 The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
 all objects sorted. Parsing its output yields the original graph.
@@ -18,10 +29,13 @@ all objects sorted. Parsing its output yields the original graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
+from typing import NoReturn
 
 from .graph import Graph
 from .model import (
+    _IRI_EXCLUDED,
+    _LANG_TAG_RE,
     RDF_TYPE,
     XSD_DECIMAL,
     XSD_INTEGER,
@@ -45,19 +59,54 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    col: int
+_Token = tuple[str, object, int]
 
+_HEX = "[0-9A-Fa-f]"
+# \u and \U escapes of Unicode scalar values only: no surrogates, nothing above U+10FFFF
+_UCHAR = rf"\\(?:u|U0000)(?![Dd][89A-Fa-f]){_HEX}{{4}}|\\U(?:000[1-9A-Fa-f]|0010){_HEX}{{4}}"
+_ECHAR = r"""\\[tbnrf"'\\]"""
+# Bodies are unrolled as normal* (special normal*)*: each special starts
+# with a character normal excludes, so a failing match backtracks linearly.
+_IRI_BODY = rf"[^{_IRI_EXCLUDED}]*(?:(?:{_UCHAR})[^{_IRI_EXCLUDED}]*)*"
+_SHORT_BODY = rf'[^"\\\n\r]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\\n\r]*)*'
+# a run of three or more quotes ends a long string; its extra quotes are content
+_LONG_BODY = rf'[^"\\]*(?:(?:"{{1,2}}(?!")|{_ECHAR}|{_UCHAR})[^"\\]*)*'
+# no leading '-', medial dots only: a trailing dot ends the statement
+_LOCAL = (
+    rf"(?:(?:[A-Za-z0-9_]|%{_HEX}{{2}})[A-Za-z0-9_\-]*"
+    rf"(?:(?:%{_HEX}{{2}}|\.(?=[A-Za-z0-9_\-%]))[A-Za-z0-9_\-]*)*)?"
+)
+# comments must run to the end of the line, so no token is found inside one
+_TRIVIA = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_WORD_END = r"(?![A-Za-z0-9_\-])"
+_NUMBER_END = r"(?!\d|[eE][+\-]?\d)"
 
-_PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
-_LANG_RUN_RE = re.compile(r"[A-Za-z0-9\-]*")
-_LANG_TAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
-_HEX = set("0123456789abcdefABCDEF")
+_TOKEN_RE = re.compile(
+    _TRIVIA
+    + "(?:"
+    + "|".join(
+        [
+            rf"(?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:{_LOCAL})",
+            rf'(?P<string>"(?!""){_SHORT_BODY}")',
+            rf"(?P<iriref><{_IRI_BODY}>)",
+            r"(?P<dot>\.(?!\d))",
+            r"(?P<semicolon>;)",
+            r"(?P<comma>,)",
+            r"(?P<at>@[A-Za-z0-9\-]*)",
+            rf"(?P<a>a{_WORD_END})",
+            r"(?P<datatype>\^\^)",
+            rf'(?P<long>"""{_LONG_BODY}"*""")',
+            rf"(?P<decimal>[+\-]?\d*\.\d+{_NUMBER_END})",
+            rf"(?P<integer>[+\-]?\d+(?!\.\d){_NUMBER_END})",
+            r"(?P<blank>_:[A-Za-z0-9_]+)",
+            rf"(?P<prefix>(?i:prefix){_WORD_END})",
+            r"(?P<eof>\Z)",
+        ]
+    )
+    + ")"
+)
 
+_ESCAPE_RE = re.compile(rf"\\(?:u{_HEX}{{4}}|U{_HEX}{{8}}|.)")
 _SHORT_ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -70,270 +119,132 @@ _SHORT_ESCAPES = {
 }
 
 
-def _is_local_char(ch: str) -> bool:
-    # tuple membership: "" (EOF) must not count as a match
-    return ch.isascii() and (ch.isalnum() or ch in ("_", "-"))
+def _unescape(m: re.Match) -> str:
+    esc = m.group()
+    return chr(int(esc[2:], 16)) if len(esc) > 2 else _SHORT_ESCAPES[esc[1]]
 
 
-class _Lexer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.last_kind = ""
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
 
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _error(self, message: str, line: int | None = None, col: int | None = None) -> ParseError:
-        return ParseError(message, self.line if line is None else line, self.col if col is None else col)
-
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            self.last_kind = tok.kind
-            if tok.kind == "eof":
-                return out
-
-    def _next_token(self) -> _Token:
-        self._skip_trivia()
-        line, col = self.line, self.col
-        ch = self._peek()
-        if ch == "":
-            return _Token("eof", None, line, col)
-        if ch == "<":
-            return _Token("iriref", self._scan_iriref(), line, col)
-        if ch == '"':
-            return _Token("string", self._scan_string(), line, col)
-        if ch == "'":
-            raise self._error("single-quoted strings are not supported")
-        if ch == "@":
-            return self._scan_at(line, col)
-        if ch == "(" or ch == ")":
-            raise self._error("collections are not supported")
-        if ch == "[" or ch == "]":
-            raise self._error("anonymous blank node property lists are not supported")
-        if ch == ";":
-            self._advance()
-            return _Token("semicolon", ";", line, col)
-        if ch == ",":
-            self._advance()
-            return _Token("comma", ",", line, col)
-        if ch == "^":
-            self._advance()
-            if self._peek() != "^":
-                raise self._error("unexpected '^'", line, col)
-            self._advance()
-            return _Token("datatype", "^^", line, col)
-        if ch == "_" and self._peek(1) == ":":
-            return _Token("blank", self._scan_blank_label(), line, col)
-        if ch == "." and not self._peek(1).isdigit():
-            self._advance()
-            return _Token("dot", ".", line, col)
-        if ch.isdigit() or ch in ("+", "-", "."):
-            return _Token(*self._scan_number(), line, col)
-        if (ch.isascii() and ch.isalpha()) or ch == ":":
-            return self._scan_name(line, col)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch in (" ", "\t", "\r", "\n"):
-                self._advance()
-            elif ch == "#":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
+def _tokens(text: str) -> Iterator[_Token]:
+    """Yield the tokens of text, ending with ("eof", "", len(text))."""
+    match = _TOKEN_RE.match
+    pos = 0
+    last = ""
+    while True:
+        m = match(text, pos)
+        if m is None:
+            _diagnose(text, pos)
+        kind = m.lastgroup
+        value = m.group(kind)
+        start = m.start(kind)
+        pos = m.end()
+        if kind == "pname":
+            prefix, _, local = value.partition(":")
+            value = (prefix, local)
+        elif kind == "string" or kind == "long":
+            value = value[1:-1] if kind == "string" else value[3:-3]
+            kind = "string"
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(_unescape, value)
+        elif kind == "iriref":
+            value = value[1:-1]
+            try:
+                value = Iri(_ESCAPE_RE.sub(_unescape, value) if "\\" in value else value)
+            except ValueError as exc:
+                raise _error(text, start, str(exc)) from None
+        elif kind == "at":
+            # '@' right after a string is a language tag, anywhere else a directive
+            if last == "string":
+                kind, value = "langtag", value[1:]
+                if not _LANG_TAG_RE.match(value):
+                    raise _error(text, start, f"malformed language tag '@{value}'")
+            elif value == "@prefix" and not text.startswith("_", pos):
+                kind = "prefix"
             else:
-                return
+                _diagnose(text, start)
+        elif kind == "blank":
+            value = BlankNode(value[2:])
+        yield kind, value, start
+        if kind == "eof":
+            return
+        last = kind
 
-    def _scan_iriref(self) -> Iri:
-        line, col = self.line, self.col
-        self._advance()
-        buf: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                raise self._error("unterminated IRI reference", line, col)
-            if ch == ">":
-                self._advance()
-                break
-            if ch == "\\":
-                buf.append(self._scan_uchar(iri=True))
-                continue
-            buf.append(self._advance())
+
+_PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
+_IRI_SCAN_RE = re.compile(rf"<[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*")
+_SHORT_BODY_RE = re.compile(_SHORT_BODY)
+_LONG_BODY_RE = re.compile(_LONG_BODY)
+_NUMBER_RE = re.compile(r"[+\-]?\d*(?:\.\d+)?")
+_EXPONENT_RE = re.compile(r"[eE][+\-]?\d")
+_HEX_RUN_RE = re.compile(f"{_HEX}*")
+_TRIVIA_RE = re.compile(_TRIVIA)
+_UNSUPPORTED = {
+    "'": "single-quoted strings are not supported",
+    "(": "collections are not supported",
+    ")": "collections are not supported",
+    "[": "anonymous blank node property lists are not supported",
+    "]": "anonymous blank node property lists are not supported",
+    "^": "unexpected '^'",
+}
+
+
+def _diagnose(text: str, pos: int) -> NoReturn:
+    """Raise the ParseError for the token after pos, which does not lex."""
+    start = _TRIVIA_RE.match(text, pos).end()
+    ch = text[start]
+    if ch == "<":
+        end = _IRI_SCAN_RE.match(text, start).end()
+        if text.startswith("\\", end):
+            _escape_error(text, end, " in IRI")
+        if not text.startswith(">", end):
+            raise _error(text, start, "unterminated IRI reference")
         try:
-            return Iri("".join(buf))
+            Iri(_ESCAPE_RE.sub(_unescape, text[start + 1 : end]))
         except ValueError as exc:
-            raise ParseError(str(exc), line, col) from None
-
-    def _scan_uchar(self, iri: bool = False) -> str:
-        line, col = self.line, self.col
-        self._advance()
-        kind = self._peek()
-        if kind in ("u", "U"):
-            self._advance()
-            width = 4 if kind == "u" else 8
-            digits = ""
-            for _ in range(width):
-                if self._peek() not in _HEX:
-                    raise self._error("malformed \\%s escape" % kind, line, col)
-                digits += self._advance()
-            return chr(int(digits, 16))
-        if not iri and kind in _SHORT_ESCAPES:
-            self._advance()
-            return _SHORT_ESCAPES[kind]
-        where = " in IRI" if iri else ""
-        raise self._error(f"invalid escape sequence '\\{kind}'{where}", line, col)
-
-    def _scan_string(self) -> str:
-        line, col = self.line, self.col
-        self._advance()
-        if self._peek() == '"' and self._peek(1) == '"':
-            self._advance()
-            self._advance()
-            return self._scan_long_string(line, col)
-        buf: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n", "\r"):
-                raise self._error("unterminated string literal", line, col)
-            if ch == '"':
-                self._advance()
-                return "".join(buf)
-            if ch == "\\":
-                buf.append(self._scan_uchar())
-                continue
-            buf.append(self._advance())
-
-    def _scan_long_string(self, line: int, col: int) -> str:
-        buf: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error("unterminated string literal", line, col)
-            if ch == '"':
-                run = 0
-                while self._peek() == '"':
-                    self._advance()
-                    run += 1
-                if run >= 3:
-                    # a longer quote run keeps its leading quotes as content
-                    buf.append('"' * (run - 3))
-                    return "".join(buf)
-                buf.append('"' * run)
-                continue
-            if ch == "\\":
-                buf.append(self._scan_uchar())
-                continue
-            buf.append(self._advance())
-
-    def _scan_blank_label(self) -> BlankNode:
-        line, col = self.line, self.col
-        self._advance()
-        self._advance()
-        buf: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch.isascii() and (ch.isalnum() or ch == "_"):
-                buf.append(self._advance())
-            else:
-                break
-        if not buf:
-            raise self._error("missing blank node label", line, col)
-        return BlankNode("".join(buf))
-
-    def _scan_number(self) -> tuple[str, str]:
-        line, col = self.line, self.col
-        buf: list[str] = []
-        if self._peek() in ("+", "-"):
-            buf.append(self._advance())
-        while self._peek().isdigit():
-            buf.append(self._advance())
-        decimal = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            decimal = True
-            buf.append(self._advance())
-            while self._peek().isdigit():
-                buf.append(self._advance())
-        nxt = self._peek()
-        if nxt in ("e", "E"):
-            after = self._peek(1)
-            if after.isdigit() or (after in ("+", "-") and self._peek(2).isdigit()):
-                raise self._error("double literals are not supported", line, col)
-        if not any(c.isdigit() for c in buf):
-            raise self._error("malformed numeric literal", line, col)
-        return ("decimal" if decimal else "integer", "".join(buf))
-
-    def _scan_at(self, line: int, col: int) -> _Token:
-        self._advance()
-        if self.last_kind == "string":
-            run = _LANG_RUN_RE.match(self.text, self.pos).group(0)
-            if not _LANG_TAG_RE.match(run):
-                raise self._error(f"malformed language tag '@{run}'", line, col)
-            for _ in run:
-                self._advance()
-            return _Token("langtag", run, line, col)
-        m = _PN_PREFIX_RE.match(self.text, self.pos)
-        word = m.group(0) if m else ""
-        if word == "prefix":
-            for _ in word:
-                self._advance()
-            return _Token("prefix", "@prefix", line, col)
+            raise _error(text, start, str(exc)) from None
+    elif ch == '"':
+        if text.startswith('"""', start):
+            end = _LONG_BODY_RE.match(text, start + 3).end()
+        else:
+            end = _SHORT_BODY_RE.match(text, start + 1).end()
+        if text.startswith("\\", end):
+            _escape_error(text, end, "")
+        raise _error(text, start, "unterminated string literal")
+    elif ch == "@":
+        m = _PN_PREFIX_RE.match(text, start + 1)
+        word = m.group() if m else ""
         if word == "base":
-            raise self._error("base directives are not supported", line, col)
-        raise self._error(f"unknown directive '@{word}'", line, col)
+            raise _error(text, start, "base directives are not supported")
+        raise _error(text, start, f"unknown directive '@{word}'")
+    elif ch == "_" and text.startswith(":", start + 1):
+        raise _error(text, start, "missing blank node label")
+    elif ch in "+-." or ch.isdecimal():
+        if _EXPONENT_RE.match(text, _NUMBER_RE.match(text, start).end()):
+            raise _error(text, start, "double literals are not supported")
+        raise _error(text, start, "malformed numeric literal")
+    elif ch.isascii() and ch.isalpha():
+        word = _PN_PREFIX_RE.match(text, start).group()
+        if word in ("true", "false"):
+            raise _error(text, start, "boolean literals are not supported")
+        if word.upper() == "BASE":
+            raise _error(text, start, "base directives are not supported")
+        raise _error(text, start, f"unexpected bare word '{word}'")
+    raise _error(text, start, _UNSUPPORTED.get(ch, f"unexpected character {ch!r}"))
 
-    def _scan_name(self, line: int, col: int) -> _Token:
-        prefix = ""
-        if self._peek() != ":":
-            m = _PN_PREFIX_RE.match(self.text, self.pos)
-            prefix = m.group(0)
-            for _ in prefix:
-                self._advance()
-        if self._peek() != ":":
-            if prefix == "a":
-                return _Token("a", "a", line, col)
-            if prefix in ("true", "false"):
-                raise self._error("boolean literals are not supported", line, col)
-            if prefix.upper() == "PREFIX":
-                return _Token("prefix", "PREFIX", line, col)
-            if prefix.upper() == "BASE":
-                raise self._error("base directives are not supported", line, col)
-            raise self._error(f"unexpected bare word '{prefix}'", line, col)
-        self._advance()
-        local = self._scan_local()
-        return _Token("pname", (prefix, local), line, col)
 
-    def _scan_local(self) -> str:
-        buf: list[str] = []
-        while True:
-            ch = self._peek()
-            if _is_local_char(ch) and (buf or ch != "-"):
-                buf.append(self._advance())
-            elif ch == "%" and self._peek(1) in _HEX and self._peek(2) in _HEX:
-                buf.append(self._advance())
-                buf.append(self._advance())
-                buf.append(self._advance())
-            elif ch == "." and buf and (_is_local_char(self._peek(1)) or self._peek(1) == "%"):
-                # medial dots only: a trailing dot terminates the statement
-                buf.append(self._advance())
-            else:
-                return "".join(buf)
+def _escape_error(text: str, at: int, where: str) -> NoReturn:
+    kind = text[at + 1 : at + 2]
+    width = {"u": 4, "U": 8}.get(kind)
+    if width is None:
+        raise _error(text, at, f"invalid escape sequence '\\{kind}'{where}")
+    digits = _HEX_RUN_RE.match(text, at + 2, at + 2 + width).group()
+    if len(digits) < width:
+        raise _error(text, at, f"malformed \\{kind} escape")
+    raise _error(text, at, f"escape '\\{kind}{digits}' does not encode a character")
 
 
 _DESCRIBE = {
@@ -356,44 +267,41 @@ _DESCRIBE = {
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self._toks = _Lexer(text).tokens()
-        self._i = 0
-
-    def _peek(self) -> _Token:
-        return self._toks[self._i]
+        self._text = text
+        self._tokens = _tokens(text)
+        self._tok = next(self._tokens)
 
     def _next(self) -> _Token:
-        tok = self._toks[self._i]
-        if tok.kind != "eof":
-            self._i += 1
+        tok = self._tok
+        if tok[0] != "eof":
+            self._tok = next(self._tokens)
         return tok
 
-    @staticmethod
-    def _error(message: str, tok: _Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col)
+    def _error(self, message: str, tok: _Token) -> ParseError:
+        return _error(self._text, tok[2], message)
 
     def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise self._error(f"expected {what}, found {_DESCRIBE[tok.kind]}", tok)
+        tok = self._tok
+        if tok[0] != kind:
+            raise self._error(f"expected {what}, found {_DESCRIBE[tok[0]]}", tok)
         return self._next()
 
     def parse(self) -> Graph:
         graph = Graph()
-        while self._peek().kind != "eof":
-            if self._peek().kind == "prefix":
+        while self._tok[0] != "eof":
+            if self._tok[0] == "prefix":
                 self._directive(graph)
             else:
                 self._triples(graph)
         return graph
 
     def _directive(self, graph: Graph) -> None:
-        form = self._next().value
+        form = self._next()[1]
         name = self._expect("pname", "prefix declaration")
-        prefix, local = name.value
+        prefix, local = name[1]
         if local:
             raise self._error("expected prefix declaration like 'p:'", name)
-        ns = self._expect("iriref", "namespace IRI").value
+        ns = self._expect("iriref", "namespace IRI")[1]
         if form == "@prefix":
             self._expect("dot", "'.' after @prefix directive")
         graph.prefixes[prefix] = ns
@@ -403,23 +311,23 @@ class _Parser:
         while True:
             verb = self._verb(graph)
             self._object_list(graph, subject, verb)
-            if self._peek().kind != "semicolon":
+            if self._tok[0] != "semicolon":
                 break
-            while self._peek().kind == "semicolon":
+            while self._tok[0] == "semicolon":
                 self._next()
-            if self._peek().kind in ("dot", "eof"):
+            if self._tok[0] in ("dot", "eof"):
                 break
         self._expect("dot", "'.' at end of statement")
 
     def _object_list(self, graph: Graph, subject: Iri | BlankNode, verb: Iri) -> None:
         while True:
             graph.insert(Triple(subject, verb, self._object(graph)))
-            if self._peek().kind != "comma":
+            if self._tok[0] != "comma":
                 return
             self._next()
 
     def _resolve(self, graph: Graph, tok: _Token) -> Iri:
-        prefix, local = tok.value
+        prefix, local = tok[1]
         ns = graph.prefixes.get(prefix)
         if ns is None:
             raise self._error(f"undeclared prefix '{prefix}:'", tok)
@@ -430,62 +338,61 @@ class _Parser:
 
     def _subject(self, graph: Graph) -> Iri | BlankNode:
         tok = self._next()
-        if tok.kind == "iriref":
-            return tok.value
-        if tok.kind == "pname":
+        kind = tok[0]
+        if kind == "iriref" or kind == "blank":
+            return tok[1]
+        if kind == "pname":
             return self._resolve(graph, tok)
-        if tok.kind == "blank":
-            return tok.value
-        raise self._error(f"expected subject (IRI or blank node), found {_DESCRIBE[tok.kind]}", tok)
+        raise self._error(f"expected subject (IRI or blank node), found {_DESCRIBE[kind]}", tok)
 
     def _verb(self, graph: Graph) -> Iri:
         tok = self._next()
-        if tok.kind == "a":
-            return RDF_TYPE
-        if tok.kind == "iriref":
-            return tok.value
-        if tok.kind == "pname":
+        kind = tok[0]
+        if kind == "pname":
             return self._resolve(graph, tok)
-        raise self._error(f"expected predicate IRI, found {_DESCRIBE[tok.kind]}", tok)
+        if kind == "a":
+            return RDF_TYPE
+        if kind == "iriref":
+            return tok[1]
+        raise self._error(f"expected predicate IRI, found {_DESCRIBE[kind]}", tok)
 
     def _object(self, graph: Graph) -> Term:
         tok = self._next()
-        if tok.kind == "iriref":
-            return tok.value
-        if tok.kind == "pname":
+        kind = tok[0]
+        if kind == "pname":
             return self._resolve(graph, tok)
-        if tok.kind == "blank":
-            return tok.value
-        if tok.kind == "integer":
-            return Literal(tok.value, XSD_INTEGER)
-        if tok.kind == "decimal":
-            return Literal(tok.value, XSD_DECIMAL)
-        if tok.kind == "string":
+        if kind == "string":
             return self._literal_tail(graph, tok)
-        raise self._error(f"expected object (IRI, blank node or literal), found {_DESCRIBE[tok.kind]}", tok)
+        if kind == "iriref" or kind == "blank":
+            return tok[1]
+        if kind == "integer":
+            return Literal(tok[1], XSD_INTEGER)
+        if kind == "decimal":
+            return Literal(tok[1], XSD_DECIMAL)
+        raise self._error(f"expected object (IRI, blank node or literal), found {_DESCRIBE[kind]}", tok)
 
     def _literal_tail(self, graph: Graph, tok: _Token) -> Literal:
-        nxt = self._peek()
-        if nxt.kind == "datatype":
+        nxt = self._tok
+        if nxt[0] == "datatype":
             self._next()
             dt_tok = self._next()
-            if dt_tok.kind == "iriref":
-                dt = dt_tok.value
-            elif dt_tok.kind == "pname":
+            if dt_tok[0] == "iriref":
+                dt = dt_tok[1]
+            elif dt_tok[0] == "pname":
                 dt = self._resolve(graph, dt_tok)
             else:
-                raise self._error(f"expected datatype IRI, found {_DESCRIBE[dt_tok.kind]}", dt_tok)
+                raise self._error(f"expected datatype IRI, found {_DESCRIBE[dt_tok[0]]}", dt_tok)
             try:
-                return Literal(tok.value, dt)
+                return Literal(tok[1], dt)
             except ValueError as exc:
                 raise self._error(str(exc), dt_tok) from None
-        if nxt.kind == "langtag":
+        if nxt[0] == "langtag":
             self._next()
             try:
-                return Literal(tok.value, language=nxt.value)
+                return Literal(tok[1], language=nxt[1])
             except ValueError as exc:
                 raise self._error(str(exc), nxt) from None
-        return Literal(tok.value)
+        return Literal(tok[1])
 
 
 def parse_turtle(text: str) -> Graph:
@@ -495,9 +402,7 @@ def parse_turtle(text: str) -> Graph:
 
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
-_SAFE_LOCAL_RE = re.compile(
-    r"^(?:(?:[A-Za-z0-9_]|%[0-9A-Fa-f]{2})(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2}|\.(?=[A-Za-z0-9_\-%]))*)?$"
-)
+_SAFE_LOCAL_RE = re.compile(_LOCAL)
 
 
 def _prefix_table(graph: Graph) -> list[tuple[str, str]]:
@@ -511,7 +416,7 @@ def _render_iri(iri: Iri, table: list[tuple[str, str]]) -> str:
     for ns, prefix in table:
         if iri.value.startswith(ns):
             local = iri.value[len(ns):]
-            if _SAFE_LOCAL_RE.match(local):
+            if _SAFE_LOCAL_RE.fullmatch(local):
                 return f"{prefix}:{local}"
     return iri.n3()
 

@@ -2,12 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from trokit import canonical_ntriples, parse_turtle
+from trokit import canonical_ntriples, cli, parse_turtle
 from trokit.cli import run
 
 from conftest import FIXTURES
@@ -213,6 +215,35 @@ class TestVocabAndExport:
         a = parse_turtle(pipeline_ttl.read_text(encoding="utf-8"))
         b = parse_turtle(out_file.read_text(encoding="utf-8"))
         assert canonical_ntriples(a) == canonical_ntriples(b)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_earlier_output(self, pipeline_ttl, tmp_path, monkeypatch):
+        out_file = tmp_path / "graph.nt"
+        assert invoke("export", "--in", str(pipeline_ttl), "--out", str(out_file))[0] == 0
+        before = out_file.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails part way
+        monkeypatch.setattr(cli, "serialize_turtle", lambda graph: '<http://e.org/a> <http://e.org/p> "ok\ud800" .\n')
+        code, _, err = invoke(
+            "export", "--in", str(pipeline_ttl), "--format", "turtle", "--out", str(out_file)
+        )
+        assert code == 2 and "surrogates not allowed" in err
+        assert out_file.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["contracts.csv", "graph.nt", "graph.ttl", "roles.csv"]
+
+    def test_device_is_written_in_place(self, pipeline_ttl):
+        assert invoke("export", "--in", str(pipeline_ttl), "--out", os.devnull)[0] == 0
+        assert not Path(os.devnull).is_file()
+
+    def test_escape_without_a_character_is_a_located_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text('<http://e.org/a> <http://e.org/p> "\\UFFFFFFFF" .\n', encoding="utf-8")
+        out_file = tmp_path / "out.ttl"
+        out_file.write_text("earlier\n", encoding="utf-8")
+        code, _, err = invoke("export", "--in", str(bad), "--format", "turtle", "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: line 1, column 36: escape '\\UFFFFFFFF' does not encode a character")
+        assert out_file.read_text(encoding="utf-8") == "earlier\n"
 
 
 class TestUsage:

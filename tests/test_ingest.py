@@ -58,6 +58,15 @@ class TestHeaders:
             parse_role_csv("")
         assert exc.value.actual is None
 
+    def test_utf8_bom_before_contract_header(self):
+        records, report = parse_contract_csv("\ufeff" + contract_rows(GOOD_CONTRACT))
+        assert report.accepted == 1 and records[0].contract_id == "C-1"
+        assert parse_contract_csv("\ufeff" + contract_rows("bad row"))[1].rejected[0].line == 2
+
+    def test_utf8_bom_before_role_header(self):
+        records, report = parse_role_csv("\ufeff" + role_rows(GOOD_ROLE))
+        assert report.accepted == 1 and records[0].person_name == "Ana Mendez"
+
     def test_header_only_is_fine(self):
         records, report = parse_contract_csv(",".join(CONTRACT_HEADER) + "\n")
         assert records == [] and report.total == 0

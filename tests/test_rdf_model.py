@@ -39,6 +39,15 @@ class TestTerms:
         with pytest.raises(ValueError):
             Iri("http://bad value.example/")
 
+    @pytest.mark.parametrize("ch", list('<>"{}|^`\\') + [" ", "\x00", "\t", "\n", "\x1f"])
+    def test_iri_rejects_iriref_excluded_characters(self, ch):
+        with pytest.raises(ValueError, match="disallowed character"):
+            Iri(f"http://example.org/a{ch}b")
+
+    def test_iri_accepts_percent_encoding_and_non_ascii(self):
+        for value in ("http://example.org/a%22b", "http://example.org/caf\u00e9", "http://example.org/a\u00a0b", "urn:x:~!$&'()*+,;=@"):
+            assert Iri(value).n3() == f"<{value}>"
+
     def test_literal_defaults_to_string(self):
         assert Literal("x").datatype == XSD_STRING
         assert Literal("x").language is None

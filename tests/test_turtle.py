@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trokit import Graph, Iri, Literal, ParseError, Triple, canonical_ntriples, parse_turtle, serialize_turtle
-from trokit.rdf_core import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
+from trokit.rdf_core import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 
 from conftest import random_graph
 
@@ -213,3 +215,211 @@ class TestRoundTrip:
         g.insert(Triple(BlankNode("b1"), Iri(EX + "p"), BlankNode("b2")))
         reparsed = parse_turtle(serialize_turtle(g))
         assert reparsed.triples() == g.triples()
+
+
+PREFIX_LINE = "@prefix ex: <http://example.org/> .\n"
+
+# Every message the tokenizer raises, with its 1-based line and column.
+# Each body follows PREFIX_LINE, so line 2 is the body's first line.
+LEXER_ERRORS = [
+    ("ex:a ex:p ex:b ; ex:q ! .", "unexpected character '!'", 2, 23),
+    ("ex:a ex:p ex:b\f.", "unexpected character '\\x0c'", 2, 15),
+    ("ex:a ex:p _x .", "unexpected character '_'", 2, 11),
+    ("ex:a ex:p ex:b%2 .", "unexpected character '%'", 2, 15),
+    ("ex:a ex:p ex:b.%zz .", "unexpected character '%'", 2, 16),
+    ('ex:a ex:p "x"@en_US .', "unexpected character '_'", 2, 17),
+    ("ex:a ex:p 'x' .", "single-quoted strings are not supported", 2, 11),
+    ("ex:a ex:p (1) .", "collections are not supported", 2, 11),
+    ("ex:a ex:p ) .", "collections are not supported", 2, 11),
+    ("ex:a ex:p [ ] .", "anonymous blank node property lists are not supported", 2, 11),
+    ("ex:a ex:p ] .", "anonymous blank node property lists are not supported", 2, 11),
+    ('ex:a ex:p "x"^<http://x/> .', "unexpected '^'", 2, 14),
+    ("ex:a ex:p <http://example.org/x\n> .", "unterminated IRI reference", 2, 11),
+    ("ex:a ex:p <http://example.org/x", "unterminated IRI reference", 2, 11),
+    ("ex:a ex:p <> .", "IRI must be non-empty", 2, 11),
+    ("ex:a ex:p <rel> .", "IRI is not absolute (no scheme): 'rel'", 2, 11),
+    ('ex:a ex:p "\\u00G9" .', "malformed \\u escape", 2, 12),
+    ('ex:a ex:p "\\U0001F60" .', "malformed \\U escape", 2, 12),
+    ('ex:a ex:p """\\u00""" .', "malformed \\u escape", 2, 14),
+    ("ex:a ex:p <http://example.org/\\u12> .", "malformed \\u escape", 2, 31),
+    ('ex:a ex:p "\\q" .', "invalid escape sequence '\\q'", 2, 12),
+    ("ex:a ex:p <http://example.org/\\n> .", "invalid escape sequence '\\n' in IRI", 2, 31),
+    ('ex:a ex:p "abc\\', "invalid escape sequence '\\'", 2, 15),
+    ('ex:a ex:p "line\nbreak" .', "unterminated string literal", 2, 11),
+    ('ex:a ex:p "cr\rhere" .', "unterminated string literal", 2, 11),
+    ('ex:a ex:p """never closed ""', "unterminated string literal", 2, 11),
+    ('ex:a ex:p ex:b .\n"oops ', "unterminated string literal", 3, 1),
+    ("ex:a ex:p _: .", "missing blank node label", 2, 11),
+    ("ex:a ex:p 4.2e1 .", "double literals are not supported", 2, 11),
+    ("ex:a ex:p .5E-3 .", "double literals are not supported", 2, 11),
+    ("ex:a ex:p -e5 .", "double literals are not supported", 2, 11),
+    ("ex:a ex:p + .", "malformed numeric literal", 2, 11),
+    ("ex:a ex:p - .", "malformed numeric literal", 2, 11),
+    ("ex:a ex:p ex:-b .", "malformed numeric literal", 2, 14),
+    ('ex:a ex:p "x"@en- .', "malformed language tag '@en-'", 2, 14),
+    ('ex:a ex:p "x"@1en .', "malformed language tag '@1en'", 2, 14),
+    ("@base <http://example.org/> .", "base directives are not supported", 2, 1),
+    ("BASE <http://example.org/>", "base directives are not supported", 2, 1),
+    ("base <http://example.org/>", "base directives are not supported", 2, 1),
+    ("@foo <http://example.org/> .", "unknown directive '@foo'", 2, 1),
+    ("@ <http://example.org/> .", "unknown directive '@'", 2, 1),
+    ("@prefixes ex: <http://example.org/> .", "unknown directive '@prefixes'", 2, 1),
+    ("@prefix_x ex: <http://example.org/> .", "unknown directive '@prefix_x'", 2, 1),
+    ("ex:a ex:p ex:b @en .", "unknown directive '@en'", 2, 16),
+    ("ex:a ex:p true .", "boolean literals are not supported", 2, 11),
+    ("ex:a ex:p false .", "boolean literals are not supported", 2, 11),
+    ("ex:a ex:p True .", "unexpected bare word 'True'", 2, 11),
+    ("ex:a ex:p a-b .", "unexpected bare word 'a-b'", 2, 11),
+    ("ex:a ex:p 1.e5 .", "unexpected bare word 'e5'", 2, 13),
+    # positions count code points, and only \n starts a line
+    ("# ñandú 🦩\nex:a ex:p \"α β γ\" ; ex:q 'é' .", "single-quoted strings are not supported", 3, 26),
+    ("ex:a ex:p ex:b .\r\nex:c ex:p ex:d .\r\n  ex:e ex:p 'x' .\r\n", "single-quoted strings are not supported", 4, 13),
+    ("ex:a ex:p ex:b . # trailing 'comment'\n  ex:c ex:p [] .", "anonymous blank node property lists are not supported", 3, 13),
+    ("ex:a ex:p ex:b # ex:q\n'oops' .", "single-quoted strings are not supported", 3, 1),
+    ("ex:a ex:p \"🦩\\x\" .", "invalid escape sequence '\\x'", 2, 13),
+]
+
+# Escapes that name no Unicode scalar value: surrogates and code points
+# above U+10FFFF. Reported at the backslash, in strings and in IRIs.
+BAD_CODE_POINTS = [
+    ('ex:a ex:p "\\uD800" .', "escape '\\uD800' does not encode a character", 2, 12),
+    ('ex:a ex:p "ok \\udfff" .', "escape '\\udfff' does not encode a character", 2, 15),
+    ('ex:a ex:p "\\UFFFFFFFF" .', "escape '\\UFFFFFFFF' does not encode a character", 2, 12),
+    ('ex:a ex:p """\n\\U00110000""" .', "escape '\\U00110000' does not encode a character", 3, 1),
+    ("ex:a ex:p <http://example.org/\\U00110000> .", "escape '\\U00110000' does not encode a character", 2, 31),
+    ("ex:a ex:p <http://example.org/\\uDBFF> .", "escape '\\uDBFF' does not encode a character", 2, 31),
+    ("<http://example.org/\\U0000D800> ex:p ex:b .", "escape '\\U0000D800' does not encode a character", 2, 21),
+]
+
+
+class TestLexerErrors:
+    @pytest.mark.parametrize("body, message, line, col", LEXER_ERRORS + BAD_CODE_POINTS)
+    def test_message_and_position(self, body, message, line, col):
+        err = expect_error(PREFIX_LINE + body, message, line, col)
+        assert err.message == message
+
+    @pytest.mark.parametrize(
+        "written, value",
+        [
+            ("http://example.org/a b", "http://example.org/a b"),
+            ('http://example.org/a"b', 'http://example.org/a"b'),
+            ("http://example.org/{x}", "http://example.org/{x}"),
+            ("http://example.org/\\u0020", "http://example.org/ "),
+        ],
+    )
+    def test_iri_character_errors_come_from_iri(self, written, value):
+        with pytest.raises(ValueError) as exc_info:
+            Iri(value)
+        expect_error(PREFIX_LINE + f"ex:a ex:p <{written}> .", str(exc_info.value), 2, 11)
+
+    def test_code_points_at_the_limits_are_accepted(self):
+        g = parse(PREFIX_LINE + 'ex:a ex:p "\\uD7FF\\uE000\\U0010FFFF\\U00010000" .')
+        (t,) = g.triples()
+        assert t.object == Literal("퟿\U0010ffff\U00010000")
+
+
+def objects_of(body):
+    return sorted(t.object.n3() for t in parse(PREFIX_LINE + body).triples())
+
+
+class TestLexerBoundaries:
+    """Token boundaries the tokenizer must draw exactly where they were."""
+
+    def test_dot_before_non_ascii_digit_starts_a_decimal(self):
+        assert objects_of("ex:a ex:p .٣ .") == ['".٣"^^<http://www.w3.org/2001/XMLSchema#decimal>']
+        assert objects_of("ex:a ex:p 1.٣ .") == ['"1.٣"^^<http://www.w3.org/2001/XMLSchema#decimal>']
+        assert objects_of("ex:a ex:p ٣ .") == ['"٣"^^<http://www.w3.org/2001/XMLSchema#integer>']
+        expect_error(PREFIX_LINE + "ex:a ex:p ex:b.٣ .", "expected '.' at end of statement, found decimal literal", 2, 15)
+
+    def test_digits_are_decimal_digits_only(self):
+        # superscripts pass str.isdigit but are not decimal digits
+        expect_error(PREFIX_LINE + "ex:a ex:p ² .", "unexpected character '²'", 2, 11)
+        expect_error(PREFIX_LINE + "ex:a ex:p 1² .", "unexpected character '²'", 2, 12)
+
+    def test_medial_and_trailing_dots_in_local_names(self):
+        g = parse(PREFIX_LINE + "ex:a.b ex:p ex:c.d.")
+        (t,) = g.triples()
+        assert (t.subject, t.object) == (Iri(EX + "a.b"), Iri(EX + "c.d"))
+        expect_error(PREFIX_LINE + "ex:a ex:p ex:b.. ", "expected subject (IRI or blank node), found '.'", 2, 16)
+
+    def test_percent_escapes_and_leading_characters_in_local_names(self):
+        assert objects_of("ex:a ex:p ex:b.%2F .") == ["<http://example.org/b.%2F>"]
+        assert objects_of("ex:a ex:p ex:%41b .") == ["<http://example.org/%41b>"]
+        assert objects_of("ex:a ex:p ex:_b-c .") == ["<http://example.org/_b-c>"]
+        assert objects_of("ex:a ex:p ex:9 .") == ["<http://example.org/9>"]
+
+    def test_empty_string_versus_long_string_opener(self):
+        assert objects_of('ex:a ex:p "", """""", """a"""", "x" .') == ['""', '"a\\""', '"x"']
+        assert objects_of('ex:a ex:p """""""" .') == ['"\\"\\""']
+        assert objects_of('ex:a ex:p """a""b"c""" .') == ['"a\\"\\"b\\"c"']
+
+    def test_at_after_a_string_is_a_language_tag(self):
+        assert objects_of('ex:a ex:p "x" @en .') == ['"x"@en']
+        assert objects_of('ex:a ex:p "x"@prefix .') == ['"x"@prefix']
+        expect_error(PREFIX_LINE + "ex:a ex:p ex:b @en .", "unknown directive '@en'", 2, 16)
+
+    def test_integer_then_dot(self):
+        assert objects_of("ex:a ex:p 12.\n") == ['"12"^^<http://www.w3.org/2001/XMLSchema#integer>']
+        assert objects_of("ex:a ex:p -7.") == ['"-7"^^<http://www.w3.org/2001/XMLSchema#integer>']
+        assert objects_of("ex:a ex:p +.5 .") == ['"+.5"^^<http://www.w3.org/2001/XMLSchema#decimal>']
+
+    def test_bare_words(self):
+        g = parse("prefix e: <http://e.org/>\nPrEfIx f: <http://f.org/>\ne:a a f:C .")
+        (t,) = g.triples()
+        assert (t.predicate, t.object) == (RDF_TYPE, Iri("http://f.org/C"))
+        expect_error("a:b a:c a:d .", "undeclared prefix 'a:'", 1, 1)
+        expect_error("Base <http://example.org/>", "base directives are not supported", 1, 1)
+
+
+def _big_graph():
+    g = Graph({"ex": Iri(EX)})
+    title, count = Iri(EX + "title"), Iri(EX + "count")
+    for i in range(4500):
+        node = Iri(f"{EX}item/{i:05d}")
+        g.insert(Triple(node, RDF_TYPE, Iri(EX + "Item")))
+        g.insert(Triple(node, title, Literal(f'Título {i} «ñandú» "q" \\ \t 🦩 ασφάλεια', language="es")))
+        g.insert(Triple(node, title, Literal(f"line one\nline two {i}\r\x01")))
+        g.insert(Triple(node, count, Literal(str(i - 2000), XSD_INTEGER)))
+        g.insert(Triple(node, count, Literal(f"{i}.25", XSD_DECIMAL)))
+        g.insert(Triple(node, Iri(EX + "see"), Iri(f"http://example.org/other/{i % 97}#frag")))
+    return g
+
+
+class TestLargeInput:
+    def test_megabyte_round_trip_and_last_line_error(self):
+        g = _big_graph()
+        text = serialize_turtle(g)
+        assert len(text.encode("utf-8")) > 1_000_000
+        assert canonical_ntriples(parse_turtle(text)) == canonical_ntriples(g)
+        bad = text + 'ex:z ex:p "ñ🦩", \'oops\' .\n'
+        expect_error(bad, "single-quoted strings are not supported", text.count("\n") + 1, 17)
+
+
+_HOSTILE_CHARS = st.one_of(
+    st.sampled_from('"\\\'\n\r\t\b\f\x00\x01\x1f\x7f ﻿'),
+    st.characters(exclude_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF, exclude_categories=("Cs",)),
+)
+_LEXICALS = st.text(alphabet=_HOSTILE_CHARS, max_size=40)
+_LITERALS = st.one_of(
+    st.builds(Literal, _LEXICALS),
+    st.builds(Literal, _LEXICALS, st.sampled_from([XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_DATE, Iri(EX + "dt")])),
+    st.builds(lambda text, tag: Literal(text, language=tag), _LEXICALS, st.sampled_from(["en", "eu-ES", "de-CH-1996"])),
+)
+
+
+class TestHypothesisRoundTrip:
+    @given(st.lists(_LITERALS, min_size=1, max_size=5))
+    def test_literals_round_trip_through_turtle(self, literals):
+        g = Graph({"ex": Iri(EX)})
+        for lit in literals:
+            g.insert(Triple(Iri(EX + "a"), Iri(EX + "p"), lit))
+        assert canonical_ntriples(parse_turtle(serialize_turtle(g))) == canonical_ntriples(g)
+
+    @given(st.lists(_LITERALS, min_size=1, max_size=5))
+    def test_canonical_ntriples_parse_back(self, literals):
+        g = Graph()
+        for lit in literals:
+            g.insert(Triple(Iri(EX + "a"), Iri(EX + "p"), lit))
+        nt = canonical_ntriples(g)
+        assert canonical_ntriples(parse_turtle(nt)) == nt
