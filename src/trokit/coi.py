@@ -16,6 +16,14 @@ no evidence) are skipped, not reported; that is the validator's job.
 
 Intervals are closed; a missing end date means the role is ongoing and
 the interval extends forever.
+
+Both patterns are indexed joins, not scans. Each call sorts the usable
+contracts by award date once and groups them by awarding org and by
+ordered (awardedBy, awardedTo) org pair, and groups ownership and
+affiliation links by person. A role's interval (or a role pair's
+overlap) is bisected into the matching date-sorted list, so a call
+costs O((roles + role pairs) · log contracts + hits) instead of
+roles × contracts.
 """
 
 from __future__ import annotations
@@ -23,9 +31,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from itertools import combinations
+from operator import attrgetter
 
 from .namespaces import EPO, TRO
 from .rdf_core import XSD_DATE, Graph, Iri, Literal
@@ -99,10 +109,10 @@ class Finding:
         )
 
 
-def _single_date(graph: Graph, node, prop: Iri) -> date | None:
+def _single_date(objects) -> date | None:
     """The unique well-formed date value, or None when absent/ambiguous."""
     values = set()
-    for obj in graph.objects(node, prop):
+    for obj in objects:
         if not isinstance(obj, Literal) or obj.datatype != XSD_DATE:
             return None
         parsed = parse_iso_date(obj.lexical)
@@ -114,21 +124,26 @@ def _single_date(graph: Graph, node, prop: Iri) -> date | None:
     return values.pop()
 
 
-def _role_interval(graph: Graph, role) -> Interval | None:
-    start = _single_date(graph, role, TRO.startDate)
+def _role_interval(po: dict) -> Interval | None:
+    start = _single_date(po.get(TRO.startDate, ()))
     if start is None:
         return None
-    end_objs = graph.objects(role, TRO.endDate)
+    end_objs = po.get(TRO.endDate)
     if not end_objs:
         return Interval(start, None)
-    end = _single_date(graph, role, TRO.endDate)
+    end = _single_date(end_objs)
     if end is None or end < start:
         return None
     return Interval(start, end)
 
 
-def _iri_objects(graph: Graph, subject, prop: Iri) -> list[Iri]:
-    return [o for o in graph.objects(subject, prop) if isinstance(o, Iri)]
+def _iris(values) -> list[Iri]:
+    return [o for o in values if isinstance(o, Iri)]
+
+
+def _subjects(graph: Graph, prop: Iri) -> set:
+    """Every subject of ``prop``, read straight from the POS index."""
+    return {s for subjects in graph._pos.get(prop, {}).values() for s in subjects}
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,60 +166,98 @@ class _Contract:
 
 def _collect_roles(graph: Graph) -> list[_Role]:
     roles = []
-    for role in graph.subjects(TRO.roleOf, None):
+    for role in _subjects(graph, TRO.roleOf):
         if not isinstance(role, Iri):
             continue
-        interval = _role_interval(graph, role)
-        evidence = frozenset(_iri_objects(graph, role, TRO.hasEvidence))
+        po = graph._spo[role]
+        interval = _role_interval(po)
+        evidence = frozenset(_iris(po.get(TRO.hasEvidence, ())))
         if interval is None or not evidence:
             continue
-        for person in _iri_objects(graph, role, TRO.roleOf):
-            for org in _iri_objects(graph, role, TRO.roleIn):
+        for person in _iris(po[TRO.roleOf]):
+            for org in _iris(po.get(TRO.roleIn, ())):
                 roles.append(_Role(role, person, org, interval, evidence))
     return roles
 
 
 def _collect_contracts(graph: Graph) -> list[_Contract]:
     contracts = []
-    for node in graph.subjects(EPO.awardDate, None):
+    for node in _subjects(graph, EPO.awardDate):
         if not isinstance(node, Iri):
             continue
-        awarded = _single_date(graph, node, EPO.awardDate)
+        po = graph._spo[node]
+        awarded = _single_date(po[EPO.awardDate])
         if awarded is None:
             continue
-        by = tuple(_iri_objects(graph, node, EPO.awardedBy))
-        to = tuple(_iri_objects(graph, node, EPO.awardedTo))
+        by = tuple(_iris(po.get(EPO.awardedBy, ())))
+        to = tuple(_iris(po.get(EPO.awardedTo, ())))
         if not by or not to:
             continue
-        evidence = frozenset(_iri_objects(graph, node, TRO.hasEvidence))
+        evidence = frozenset(_iris(po.get(TRO.hasEvidence, ())))
         contracts.append(_Contract(node, by, to, awarded, evidence))
     return contracts
 
 
-def _linked_orgs(graph: Graph) -> set[tuple[Iri, Iri]]:
-    links = set()
+def _linked_orgs(graph: Graph) -> dict[Iri, set[Iri]]:
+    """person -> the orgs they own or are affiliated with."""
+    links: dict[Iri, set[Iri]] = {}
     for prop in (TRO.ownerOf, TRO.affiliatedWith):
-        for triple in graph.match(None, prop, None):
-            if isinstance(triple.subject, Iri) and isinstance(triple.object, Iri):
-                links.add((triple.subject, triple.object))
+        for org, people in graph._pos.get(prop, {}).items():
+            if not isinstance(org, Iri):
+                continue
+            for person in people:
+                if isinstance(person, Iri):
+                    links.setdefault(person, set()).add(org)
     return links
+
+
+class _ByDate:
+    """Contracts in award-date order, with their dates alongside for bisect."""
+
+    __slots__ = ("dates", "contracts")
+
+    def __init__(self) -> None:
+        self.dates: list[date] = []
+        self.contracts: list[_Contract] = []
+
+    def append(self, contract: _Contract) -> None:
+        self.dates.append(contract.award_date)
+        self.contracts.append(contract)
+
+    def within(self, interval: Interval) -> list[_Contract]:
+        """The contracts awarded inside the closed ``interval``."""
+        lo = bisect_left(self.dates, interval.start)
+        hi = len(self.dates) if interval.end is None else bisect_right(self.dates, interval.end)
+        return self.contracts[lo:hi]
+
+
+def _index_contracts(contracts: list[_Contract]):
+    """Date-sorted contract lists by awarding org and by (awardedBy, awardedTo) pair."""
+    by_org: dict[Iri, _ByDate] = {}
+    by_pair: dict[tuple[Iri, Iri], _ByDate] = {}
+    for contract in sorted(contracts, key=attrgetter("award_date")):
+        for awarder in contract.awarded_by:
+            by_org.setdefault(awarder, _ByDate()).append(contract)
+            for winner in contract.awarded_to:
+                by_pair.setdefault((awarder, winner), _ByDate()).append(contract)
+    return by_org, by_pair
 
 
 def detect_conflicts(graph: Graph) -> list[Finding]:
     """Evaluate both patterns; deterministic, duplicate-free output."""
     roles = _collect_roles(graph)
-    contracts = _collect_contracts(graph)
+    by_org, by_pair = _index_contracts(_collect_contracts(graph))
     links = _linked_orgs(graph)
     findings: set[Finding] = set()
 
     for role in roles:
-        for contract in contracts:
-            if role.org not in contract.awarded_by:
-                continue
-            if not date_in_interval(contract.award_date, role.interval):
-                continue
+        linked = links.get(role.person)
+        awarded = by_org.get(role.org)
+        if not linked or awarded is None:
+            continue
+        for contract in awarded.within(role.interval):
             for winner in contract.awarded_to:
-                if (role.person, winner) in links:
+                if winner in linked:
                     findings.add(
                         Finding(
                             pattern_id=AWARD_TO_LINKED_ORG,
@@ -227,16 +280,13 @@ def detect_conflicts(graph: Graph) -> list[Finding]:
             overlap = _intersect(r1.interval, r2.interval)
             if overlap is None:
                 continue
-            witness_evidence: set[Iri] = set()
-            witnessed = False
-            for contract in contracts:
-                between = (
-                    r1.org in contract.awarded_by and r2.org in contract.awarded_to
-                ) or (r2.org in contract.awarded_by and r1.org in contract.awarded_to)
-                if between and date_in_interval(contract.award_date, overlap):
-                    witnessed = True
-                    witness_evidence |= contract.evidence
-            if witnessed:
+            witnesses = [
+                contract
+                for pair in ((r1.org, r2.org), (r2.org, r1.org))
+                if pair in by_pair
+                for contract in by_pair[pair].within(overlap)
+            ]
+            if witnesses:
                 findings.add(
                     Finding(
                         pattern_id=DUAL_ROLE,
@@ -245,7 +295,7 @@ def detect_conflicts(graph: Graph) -> list[Finding]:
                         contract=None,
                         organizations=frozenset({r1.org, r2.org}),
                         overlap=overlap,
-                        evidence=r1.evidence | r2.evidence | witness_evidence,
+                        evidence=r1.evidence.union(r2.evidence, *(c.evidence for c in witnesses)),
                     )
                 )
 

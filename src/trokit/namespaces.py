@@ -11,12 +11,13 @@ from .rdf_core import Iri
 
 
 class Namespace:
-    """A factory for IRIs sharing a common base."""
+    """A factory for IRIs sharing a common base; each name's IRI is built once."""
 
-    __slots__ = ("_base",)
+    __slots__ = ("_base", "_cache")
 
     def __init__(self, base: str) -> None:
         self._base = base
+        self._cache: dict[str, Iri] = {}
 
     @property
     def base(self) -> str:
@@ -26,12 +27,15 @@ class Namespace:
         return Iri(self._base)
 
     def __getitem__(self, name: str) -> Iri:
-        return Iri(self._base + name)
+        iri = self._cache.get(name)
+        if iri is None:
+            iri = self._cache[name] = Iri(self._base + name)
+        return iri
 
     def __getattr__(self, name: str) -> Iri:
         if name.startswith("_"):
             raise AttributeError(name)
-        return Iri(self._base + name)
+        return self[name]
 
     def __repr__(self) -> str:
         return f"Namespace({self._base!r})"

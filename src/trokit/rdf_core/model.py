@@ -18,20 +18,23 @@ _BAD_IRI_CHAR_RE = re.compile(f"[{_IRI_EXCLUDED}]")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _LANG_TAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 
-_ECHAR = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# RDF 1.2 canonical N-Triples: ECHAR where one exists, else \uXXXX (upper-case hex)
+# for the remaining C0 controls and DEL; every other character is written as is.
+_ESCAPES = {chr(c): "\\u%04X" % c for c in (*range(0x20), 0x7F)} | {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\b": "\\b",
+    "\t": "\\t",
+    "\n": "\\n",
+    "\f": "\\f",
+    "\r": "\\r",
+}
+_NEEDS_ESCAPE_RE = re.compile(r'[\x00-\x1f"\\\x7f]')
 
 
 def escape_literal(text: str) -> str:
     """Escape a literal's lexical form for Turtle / N-Triples output."""
-    out = []
-    for ch in text:
-        if ch in _ECHAR:
-            out.append(_ECHAR[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04X" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE_RE.sub(lambda m: _ESCAPES[m[0]], text)
 
 
 @dataclass(frozen=True, slots=True)

@@ -93,7 +93,10 @@ def random_coi_graph(rng: random.Random, mode: str = "any") -> Graph:
     one org, so neither detection pattern can fire.
     mode "planted": guaranteed to contain at least one award pattern.
     mode "any": anything goes, including malformed role/contract nodes.
+    mode "dense": many contracts over few orgs (see _dense_coi_graph).
     """
+    if mode == "dense":
+        return _dense_coi_graph(rng)
     g = Graph(default_prefixes())
     base = "http://example.org/data/"
     n_people = rng.randrange(1, 8)
@@ -156,6 +159,53 @@ def random_coi_graph(rng: random.Random, mode: str = "any") -> Graph:
         g.insert(Triple(contract, EPO.awardedTo, acme))
         g.insert(Triple(contract, EPO.awardDate, _date_literal(awarded)))
         g.insert(Triple(person, TRO.ownerOf, acme))
+    return g
+
+
+def _dense_coi_graph(rng: random.Random) -> Graph:
+    """Many contracts per org and per org pair, with dates that tie.
+
+    20-60 contracts over 2-4 orgs, some with two awarders or two
+    winners; winners are drawn apart from awarders, so many contracts
+    are self-awards. Role and award dates come from one small pool, so
+    awards share dates and fall exactly on role start and end dates; a
+    third of the roles are open-ended. With this few orgs, contracts run
+    both ways between most org pairs.
+    """
+    g = Graph(default_prefixes())
+    base = "http://example.org/data/"
+    pool = [date(2016, 1, 1) + timedelta(days=90 * i) for i in range(8)]
+    orgs = [Iri(f"{base}org/o{i}") for i in range(rng.randrange(2, 5))]
+    people = [Iri(f"{base}person/p{i}") for i in range(rng.randrange(1, 4))]
+
+    role_count = 0
+    for person in people:
+        for org in rng.sample(orgs, rng.randrange(1, len(orgs) + 1)):
+            for _ in range(rng.randrange(1, 3)):
+                role = Iri(f"{base}role/r{role_count}")
+                role_count += 1
+                g.insert(Triple(role, TRO.roleOf, person))
+                g.insert(Triple(role, TRO.roleIn, org))
+                start = rng.randrange(len(pool))
+                g.insert(Triple(role, TRO.startDate, _date_literal(pool[start])))
+                if rng.random() < 0.67:
+                    end = pool[rng.randrange(start, len(pool))]
+                    g.insert(Triple(role, TRO.endDate, _date_literal(end)))
+                g.insert(Triple(role, TRO.hasEvidence, Iri(f"{base}evidence/r{rng.randrange(3)}")))
+        for org in rng.sample(orgs, rng.randrange(len(orgs))):
+            g.insert(Triple(person, rng.choice([TRO.ownerOf, TRO.affiliatedWith]), org))
+
+    for i in range(rng.randrange(20, 61)):
+        contract = Iri(f"{base}contract/c{i}")
+        awarders = rng.sample(orgs, 2 if rng.random() < 0.2 else 1)
+        winners = rng.sample(orgs, 2 if rng.random() < 0.2 else 1)
+        for org in awarders:
+            g.insert(Triple(contract, EPO.awardedBy, org))
+        for org in winners:
+            g.insert(Triple(contract, EPO.awardedTo, org))
+        g.insert(Triple(contract, EPO.awardDate, _date_literal(rng.choice(pool))))
+        if rng.random() < 0.7:
+            g.insert(Triple(contract, TRO.hasEvidence, Iri(f"{base}evidence/c{i}")))
     return g
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -447,6 +448,19 @@ class TestOracleEquivalence:
                 assert any(
                     f.pattern_id == AWARD_TO_LINKED_ORG and role in f.role_iris for f in found
                 )
+
+    def test_dense_graphs(self):
+        """Many contracts per org and org pair, tied dates, boundary hits, both directions."""
+        counts = Counter()
+        for seed in range(250):
+            g = random_coi_graph(random.Random(5000 + seed), mode="dense")
+            found = detect_conflicts(g)
+            keys = {_finding_key(f) for f in found}
+            assert keys == brute_force_keys(g), seed
+            assert len(keys) == len(found)
+            counts.update(f.pattern_id for f in found)
+        # the generator must keep both patterns busy, or the comparison proves little
+        assert counts[AWARD_TO_LINKED_ORG] > 500 and counts[DUAL_ROLE] > 500, counts
 
     def test_detection_is_deterministic(self):
         rng1, rng2 = random.Random(7), random.Random(7)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trokit import BlankNode, Graph, Iri, Literal, Triple, canonical_ntriples
+from trokit import BlankNode, Graph, Iri, Literal, Triple, canonical_ntriples, parse_turtle, serialize_turtle
 from trokit.rdf_core import RDF_LANG_STRING, RDF_TYPE, XSD_INTEGER, XSD_STRING
 
 from conftest import random_graph, random_term
@@ -83,6 +83,44 @@ class TestTerms:
     def test_n3_escapes(self):
         assert Literal('say "hi"\n').n3() == '"say \\"hi\\"\\n"'
         assert Literal("\x01").n3() == '"\\u0001"'
+
+    @pytest.mark.parametrize(
+        "char, escaped",
+        [
+            ("\b", "\\b"),
+            ("\t", "\\t"),
+            ("\n", "\\n"),
+            ("\f", "\\f"),
+            ("\r", "\\r"),
+            ('"', '\\"'),
+            ("\\", "\\\\"),
+            ("\x00", "\\u0000"),
+            ("\x0b", "\\u000B"),
+            ("\x1f", "\\u001F"),
+            ("\x7f", "\\u007F"),
+            ("\x80", "\x80"),
+            ("'", "'"),
+            ("ñ", "ñ"),
+            ("\U0001f9a9", "\U0001f9a9"),
+        ],
+    )
+    def test_n3_uses_canonical_escapes(self, char, escaped):
+        """RDF 1.2 canonical N-Triples: ECHAR where one exists, upper-case UCHAR for other controls and DEL."""
+        assert Literal(f"a{char}b").n3() == f'"a{escaped}b"'
+        assert Literal(char, language="en").n3() == f'"{escaped}"@en'
+
+    def test_canonical_escapes_round_trip(self):
+        text = "".join(chr(c) for c in range(0x20)) + '"\\\x7f\x80 end'
+        g = Graph({"ex": Iri("http://example.org/")})
+        g.insert(Triple(A_NODE, NAME, Literal(text)))
+        nt = canonical_ntriples(g)
+        assert nt == (
+            '<http://example.org/a> <http://schema.org/name> "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005'
+            '\\u0006\\u0007\\b\\t\\n\\u000B\\f\\r\\u000E\\u000F\\u0010\\u0011\\u0012\\u0013\\u0014'
+            '\\u0015\\u0016\\u0017\\u0018\\u0019\\u001A\\u001B\\u001C\\u001D\\u001E\\u001F\\"\\\\\\u007F\x80 end" .\n'
+        )
+        assert canonical_ntriples(parse_turtle(nt)) == nt
+        assert canonical_ntriples(parse_turtle(serialize_turtle(g))) == nt
 
 
 class TestGraph:
