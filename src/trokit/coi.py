@@ -38,8 +38,8 @@ from itertools import combinations
 from operator import attrgetter
 
 from .namespaces import EPO, TRO
-from .rdf_core import XSD_DATE, Graph, Iri, Literal
-from .util import parse_iso_date
+from .rdf_core import Graph, Iri
+from .util import xsd_dates
 
 AWARD_TO_LINKED_ORG = "AWARD-TO-LINKED-ORG"
 DUAL_ROLE = "DUAL-ROLE"
@@ -111,17 +111,8 @@ class Finding:
 
 def _single_date(objects) -> date | None:
     """The unique well-formed date value, or None when absent/ambiguous."""
-    values = set()
-    for obj in objects:
-        if not isinstance(obj, Literal) or obj.datatype != XSD_DATE:
-            return None
-        parsed = parse_iso_date(obj.lexical)
-        if parsed is None:
-            return None
-        values.add(parsed)
-    if len(values) != 1:
-        return None
-    return values.pop()
+    values = set(xsd_dates(objects))
+    return values.pop() if len(values) == 1 else None
 
 
 def _role_interval(po: dict) -> Interval | None:

@@ -4,6 +4,10 @@ Every match pattern is answered from the index whose bound positions
 come first, so lookups never scan the full triple set. All query
 results come back in a deterministic order (sorted by the canonical
 form of subject, predicate, object).
+
+trokit's own modules (coi, validate, turtle, ntriples) read the indexes
+directly: ``_spo[s][p]``, ``_pos[p][o]`` and ``_osp[o][s]`` are unsorted,
+non-empty sets, so ``p in _spo[s]`` means s has a p value.
 """
 
 from __future__ import annotations
@@ -73,8 +77,11 @@ class Graph:
 
     def copy(self) -> "Graph":
         out = Graph(self.prefixes)
-        for t in self.triples():
-            out.insert(t)
+        out._spo, out._pos, out._osp = (
+            {a: {b: set(cs) for b, cs in inner.items()} for a, inner in index.items()}
+            for index in (self._spo, self._pos, self._osp)
+        )
+        out._size = self._size
         return out
 
     def triples(self) -> set[Triple]:

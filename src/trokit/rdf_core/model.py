@@ -12,8 +12,11 @@ from dataclasses import dataclass
 from typing import Union
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-# The characters RDF 1.1 IRIREF excludes, as the body of a regex class.
-_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+# Lone surrogates are no Unicode characters and cannot be written as UTF-8.
+_SURROGATES = r"\ud800-\udfff"
+_SURROGATE_RE = re.compile(f"[{_SURROGATES}]")
+# The characters RDF 1.1 IRIREF excludes, plus surrogates, as the body of a regex class.
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\' + _SURROGATES
 _BAD_IRI_CHAR_RE = re.compile(f"[{_IRI_EXCLUDED}]")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _LANG_TAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
@@ -83,6 +86,8 @@ class Literal:
     language: str | None = None
 
     def __post_init__(self) -> None:
+        if _SURROGATE_RE.search(self.lexical):
+            raise ValueError(f"literal contains a lone surrogate: {self.lexical!r}")
         if self.language is not None:
             if not _LANG_TAG_RE.match(self.language):
                 raise ValueError(f"malformed language tag: {self.language!r}")

@@ -16,14 +16,13 @@ def canonical_ntriples(graph: Graph) -> str:
 
     Raises ValueError if the graph contains a blank node.
     """
-    lines: list[str] = []
-    for triple in graph.triples():
-        if isinstance(triple.subject, BlankNode) or isinstance(triple.object, BlankNode):
-            raise ValueError(
-                "graph contains blank nodes, which have no canonical N-Triples form"
-            )
-        lines.append(triple.n3())
-    if not lines:
-        return ""
+    if any(isinstance(term, BlankNode) for term in (*graph._spo, *graph._osp)):
+        raise ValueError("graph contains blank nodes, which have no canonical N-Triples form")
+    lines = [
+        f"{subject.n3()} {predicate.n3()} {obj.n3()} ."
+        for subject, po in graph._spo.items()
+        for predicate, objects in po.items()
+        for obj in objects
+    ]
     lines.sort(key=lambda line: line.encode("utf-8"))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

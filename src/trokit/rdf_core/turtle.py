@@ -19,7 +19,8 @@ match, ``_diagnose`` inspects the text there and raises the error.
 Positions are worked out from the offset only when a ``ParseError`` is
 raised: lines end at ``\n`` and columns count code points from 1.
 Escapes must name a Unicode scalar value; a surrogate or a code point
-above U+10FFFF is a parse error at its backslash.
+above U+10FFFF is a parse error at its backslash; a raw lone surrogate
+is one where it stands in a string, and at the ``<`` of an IRI.
 
 The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
@@ -36,6 +37,8 @@ from .graph import Graph
 from .model import (
     _IRI_EXCLUDED,
     _LANG_TAG_RE,
+    _SURROGATE_RE,
+    _SURROGATES,
     RDF_TYPE,
     XSD_DECIMAL,
     XSD_INTEGER,
@@ -68,9 +71,9 @@ _ECHAR = r"""\\[tbnrf"'\\]"""
 # Bodies are unrolled as normal* (special normal*)*: each special starts
 # with a character normal excludes, so a failing match backtracks linearly.
 _IRI_BODY = rf"[^{_IRI_EXCLUDED}]*(?:(?:{_UCHAR})[^{_IRI_EXCLUDED}]*)*"
-_SHORT_BODY = rf'[^"\\\n\r]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\\n\r]*)*'
+_SHORT_BODY = rf'[^"\\\n\r{_SURROGATES}]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\\n\r{_SURROGATES}]*)*'
 # a run of three or more quotes ends a long string; its extra quotes are content
-_LONG_BODY = rf'[^"\\]*(?:(?:"{{1,2}}(?!")|{_ECHAR}|{_UCHAR})[^"\\]*)*'
+_LONG_BODY = rf'[^"\\{_SURROGATES}]*(?:(?:"{{1,2}}(?!")|{_ECHAR}|{_UCHAR})[^"\\{_SURROGATES}]*)*'
 # no leading '-', medial dots only: a trailing dot ends the statement
 _LOCAL = (
     rf"(?:(?:[A-Za-z0-9_]|%{_HEX}{{2}})[A-Za-z0-9_\-]*"
@@ -213,6 +216,8 @@ def _diagnose(text: str, pos: int) -> NoReturn:
             end = _SHORT_BODY_RE.match(text, start + 1).end()
         if text.startswith("\\", end):
             _escape_error(text, end, "")
+        if _SURROGATE_RE.match(text, end):
+            raise _error(text, end, f"lone surrogate U+{ord(text[end]):04X} is not a character")
         raise _error(text, start, "unterminated string literal")
     elif ch == "@":
         m = _PN_PREFIX_RE.match(text, start + 1)
@@ -448,12 +453,7 @@ def serialize_turtle(graph: Graph) -> str:
     if prefix_lines:
         chunks.append("\n".join(prefix_lines))
 
-    by_subject: dict[Iri | BlankNode, dict[Iri, set[Term]]] = {}
-    for triple in graph.triples():
-        by_subject.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple.object)
-
-    for subject in sorted(by_subject, key=lambda t: t.n3()):
-        po = by_subject[subject]
+    for subject, po in sorted(graph._spo.items(), key=lambda item: item[0].n3()):
         preds = sorted(po, key=lambda p: (p != RDF_TYPE, p.n3()))
         segments = []
         for pred in preds:

@@ -16,6 +16,11 @@ exceptions, so one pass surfaces everything at once:
 
 The two INFO rules fire only when the graph declares an ontology
 header node at all.
+
+The catalog is data: ``RULES`` pairs each rule id and severity with a
+generator of (focus, message) pairs. Rules read the graph's indexes
+directly and share one types map, node -> its classes widened by their
+subclass closures, so inference never copies the graph.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from enum import IntEnum
 
 from .namespaces import DC, DCTERMS, OWL, RDFS, TRO
 from .rdf_core import RDF_TYPE, XSD_DATE, BlankNode, Graph, Iri, Literal, Term, Triple
-from .util import parse_iso_date
-from .vocab import TermKind, Vocabulary, subclass_closure
+from .util import xsd_dates
+from .vocab import UnknownClassError, Vocabulary, subclass_closure
 
 _PROVENANCE_PROPS = (DC.contributor, DCTERMS.created, DCTERMS.modified, DC.date)
 _DECLARED_KINDS = (OWL.Class, OWL.ObjectProperty, OWL.DatatypeProperty, OWL.AnnotationProperty)
@@ -87,150 +92,133 @@ class Report:
         )
 
 
-def infer_types(graph: Graph, vocab: Vocabulary) -> Graph:
-    """A copy of the graph with superclass typings added.
+def _types(graph: Graph, vocab: Vocabulary) -> dict[Iri | BlankNode, set[Iri]]:
+    """Typed node -> its IRI classes and their superclasses; one pass is
+    the fixpoint. A class outside the vocabulary stands for itself."""
+    types: dict[Iri | BlankNode, set[Iri]] = {}
+    for cls, nodes in graph._pos.get(RDF_TYPE, {}).items():
+        if not isinstance(cls, Iri):
+            continue
+        try:
+            widened = subclass_closure(vocab, cls)
+        except UnknownClassError:
+            widened = {cls}
+        for node in nodes:
+            types.setdefault(node, set()).update(widened)
+    return types
 
-    Closures are precomputed per class, so one pass reaches the
-    fixpoint. Typings with classes outside the vocabulary are left
-    as they are.
-    """
-    supertypes = {
-        term.iri: subclass_closure(vocab, term.iri) - {term.iri}
-        for term in vocab.terms.values()
-        if term.kind == TermKind.CLASS
-    }
+
+def infer_types(graph: Graph, vocab: Vocabulary) -> Graph:
+    """A copy of the graph with superclass typings added."""
     out = graph.copy()
-    for triple in graph.match(None, RDF_TYPE, None):
-        for sup in supertypes.get(triple.object, ()):
-            out.insert(Triple(triple.subject, RDF_TYPE, sup))
+    for node, classes in _types(graph, vocab).items():
+        for cls in classes:
+            out.insert(Triple(node, RDF_TYPE, cls))
     return out
 
 
-def _types_by_node(graph: Graph) -> dict[Iri | BlankNode, set[Iri]]:
-    nodes: dict[Iri | BlankNode, set[Iri]] = {}
-    for triple in graph.match(None, RDF_TYPE, None):
-        if isinstance(triple.object, Iri):
-            nodes.setdefault(triple.subject, set()).add(triple.object)
-    return nodes
+def _pairs(graph: Graph, types, prop: Iri):
+    """(subject, object) of every ``prop`` triple, inferred typings included."""
+    pairs = [(s, o) for o, subjects in graph._pos.get(prop, {}).items() for s in subjects]
+    if prop == RDF_TYPE:
+        pairs = set(pairs).union((s, c) for s, classes in types.items() for c in classes)
+    return pairs
 
 
-def check(graph: Graph, vocab: Vocabulary) -> Report:
-    """Run the full rule catalog; deterministic entry order."""
-    g = infer_types(graph, vocab)
-    types = _types_by_node(g)
-    entries: list[ReportEntry] = []
-
-    def report(severity: Severity, rule: str, focus: Term, message: str) -> None:
-        entries.append(ReportEntry(severity, rule, focus, message))
-
+def _disjoint_clash(graph: Graph, types, vocab: Vocabulary):
     for constraint in vocab.disjointness_sets():
         for node, node_types in types.items():
             clash = node_types & constraint.classes
             if len(clash) >= 2:
                 names = ", ".join(sorted(c.n3() for c in clash))
-                report(
-                    Severity.ERROR,
-                    "DISJOINT-CLASH",
-                    node,
-                    f"typed as {names}, which are declared disjoint",
-                )
+                yield node, f"typed as {names}, which are declared disjoint"
 
+
+def _missing_required(graph: Graph, types, vocab: Vocabulary):
     for required in vocab.required_properties():
         for node, node_types in types.items():
-            if required.on_class in node_types and not g.match(node, required.prop, None):
-                report(
-                    Severity.ERROR,
-                    "MISSING-REQUIRED",
-                    node,
-                    f"instance of {required.on_class.n3()} lacks required {required.prop.n3()}",
-                )
+            if required.on_class in node_types and required.prop not in graph._spo[node]:
+                yield node, f"instance of {required.on_class.n3()} lacks required {required.prop.n3()}"
 
+
+def _bad_range(graph: Graph, types, vocab: Vocabulary):
     for prange in vocab.property_ranges():
-        for triple in g.match(None, prange.prop, None):
-            obj = triple.object
+        prop, expected = prange.prop.n3(), prange.range
+        for subject, obj in _pairs(graph, types, prange.prop):
             if prange.range_kind == "datatype":
-                if not isinstance(obj, Literal) or obj.datatype != prange.range:
-                    report(
-                        Severity.ERROR,
-                        "BAD-RANGE",
-                        triple.subject,
-                        f"value of {prange.prop.n3()} is not a {prange.range.n3()} literal",
-                    )
-            else:
-                if isinstance(obj, Literal):
-                    report(
-                        Severity.ERROR,
-                        "BAD-RANGE",
-                        triple.subject,
-                        f"value of {prange.prop.n3()} is a literal, expected a {prange.range.n3()}",
-                    )
-                elif obj in types and prange.range not in types[obj]:
-                    report(
-                        Severity.ERROR,
-                        "BAD-RANGE",
-                        triple.subject,
-                        f"value of {prange.prop.n3()} is not typed {prange.range.n3()}",
-                    )
+                if not isinstance(obj, Literal) or obj.datatype != expected:
+                    yield subject, f"value of {prop} is not a {expected.n3()} literal"
+            elif isinstance(obj, Literal):
+                yield subject, f"value of {prop} is a literal, expected a {expected.n3()}"
+            elif obj in types and expected not in types[obj]:
+                yield subject, f"value of {prop} is not typed {expected.n3()}"
 
-    for triple in g.triples():
-        obj = triple.object
-        if isinstance(obj, Literal) and obj.datatype == XSD_DATE and parse_iso_date(obj.lexical) is None:
-            report(
-                Severity.ERROR,
-                "BAD-DATE",
-                triple.subject,
-                f"{triple.predicate.n3()} value {obj.lexical!r} is not a YYYY-MM-DD date",
-            )
 
-    for node in g.subjects(TRO.startDate, None):
-        starts = _date_values(g, node, TRO.startDate)
-        ends = _date_values(g, node, TRO.endDate)
-        if any(end < start for start in starts for end in ends):
-            report(
-                Severity.ERROR,
-                "INTERVAL-ORDER",
-                node,
-                "end date precedes start date",
-            )
+def _bad_date(graph: Graph, types, vocab: Vocabulary):
+    dated = [o for o in graph._osp if isinstance(o, Literal) and o.datatype == XSD_DATE]
+    for obj, parsed in zip(dated, xsd_dates(dated)):
+        if parsed is None:
+            for subject, preds in graph._osp[obj].items():
+                for pred in preds:
+                    yield subject, f"{pred.n3()} value {obj.lexical!r} is not a YYYY-MM-DD date"
 
-    unknown: set[Iri] = set()
-    for triple in g.triples():
-        if _unknown_tro_term(triple.predicate, vocab):
-            unknown.add(triple.predicate)
-        if (
-            triple.predicate == RDF_TYPE
-            and isinstance(triple.object, Iri)
-            and _unknown_tro_term(triple.object, vocab)
-        ):
-            unknown.add(triple.object)
-    for iri in unknown:
-        report(Severity.WARN, "UNKNOWN-TERM", iri, "not defined by the vocabulary")
 
+def _interval_order(graph: Graph, types, vocab: Vocabulary):
+    for node, po in graph._spo.items():
+        if TRO.startDate in po:
+            starts = [d for d in xsd_dates(po[TRO.startDate]) if d is not None]
+            ends = [d for d in xsd_dates(po.get(TRO.endDate, ())) if d is not None]
+            if any(end < start for start in starts for end in ends):
+                yield node, "end date precedes start date"
+
+
+def _unknown_term(graph: Graph, types, vocab: Vocabulary):
+    used = set(graph._pos).union(o for o in graph._pos.get(RDF_TYPE, {}) if isinstance(o, Iri))
+    for iri in used:
+        if iri.value.startswith(TRO.base) and iri not in vocab.terms:
+            yield iri, "not defined by the vocabulary"
+
+
+def _no_label(graph: Graph, types, vocab: Vocabulary):
     for node, node_types in types.items():
-        if node_types.intersection(_DECLARED_KINDS) and not g.match(node, RDFS.label, None):
-            report(Severity.WARN, "NO-LABEL", node, "declared term has no rdfs:label")
+        if node_types.intersection(_DECLARED_KINDS) and RDFS.label not in graph._spo[node]:
+            yield node, "declared term has no rdfs:label"
 
-    for node in g.subjects(RDF_TYPE, OWL.Ontology):
-        missing = [p for p in _PROVENANCE_PROPS if not g.match(node, p, None)]
-        if missing:
-            names = ", ".join(p.n3() for p in missing)
-            report(Severity.INFO, "NO-PROVENANCE", node, f"header lacks {names}")
-        if not g.match(node, OWL.versionInfo, None):
-            report(Severity.INFO, "NO-VERSION", node, "header lacks owl:versionInfo")
 
+def _no_provenance(graph: Graph, types, vocab: Vocabulary):
+    for node, node_types in types.items():
+        if OWL.Ontology in node_types:
+            missing = [p.n3() for p in _PROVENANCE_PROPS if p not in graph._spo[node]]
+            if missing:
+                yield node, f"header lacks {', '.join(missing)}"
+
+
+def _no_version(graph: Graph, types, vocab: Vocabulary):
+    for node, node_types in types.items():
+        if OWL.Ontology in node_types and OWL.versionInfo not in graph._spo[node]:
+            yield node, "header lacks owl:versionInfo"
+
+
+RULES = (
+    ("DISJOINT-CLASH", Severity.ERROR, _disjoint_clash),
+    ("MISSING-REQUIRED", Severity.ERROR, _missing_required),
+    ("BAD-RANGE", Severity.ERROR, _bad_range),
+    ("BAD-DATE", Severity.ERROR, _bad_date),
+    ("INTERVAL-ORDER", Severity.ERROR, _interval_order),
+    ("UNKNOWN-TERM", Severity.WARN, _unknown_term),
+    ("NO-LABEL", Severity.WARN, _no_label),
+    ("NO-PROVENANCE", Severity.INFO, _no_provenance),
+    ("NO-VERSION", Severity.INFO, _no_version),
+)
+
+
+def check(graph: Graph, vocab: Vocabulary) -> Report:
+    """Run the full rule catalog; deterministic entry order."""
+    types = _types(graph, vocab)
+    entries = [
+        ReportEntry(severity, rule_id, focus, message)
+        for rule_id, severity, rule in RULES
+        for focus, message in rule(graph, types, vocab)
+    ]
     entries.sort(key=lambda e: (e.rule_id, e.focus.n3(), e.message))
     return Report(tuple(entries))
-
-
-def _date_values(graph: Graph, node: Iri | BlankNode, prop: Iri):
-    values = []
-    for obj in graph.objects(node, prop):
-        if isinstance(obj, Literal) and obj.datatype == XSD_DATE:
-            parsed = parse_iso_date(obj.lexical)
-            if parsed is not None:
-                values.append(parsed)
-    return values
-
-
-def _unknown_tro_term(iri: Iri, vocab: Vocabulary) -> bool:
-    return iri.value.startswith(TRO.base) and iri not in vocab.terms

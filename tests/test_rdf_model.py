@@ -39,7 +39,7 @@ class TestTerms:
         with pytest.raises(ValueError):
             Iri("http://bad value.example/")
 
-    @pytest.mark.parametrize("ch", list('<>"{}|^`\\') + [" ", "\x00", "\t", "\n", "\x1f"])
+    @pytest.mark.parametrize("ch", list('<>"{}|^`\\') + [" ", "\x00", "\t", "\n", "\x1f", "\ud800", "\udfff"])
     def test_iri_rejects_iriref_excluded_characters(self, ch):
         with pytest.raises(ValueError, match="disallowed character"):
             Iri(f"http://example.org/a{ch}b")
@@ -64,6 +64,13 @@ class TestTerms:
     def test_language_with_other_datatype_rejected(self):
         with pytest.raises(ValueError):
             Literal("x", XSD_INTEGER, language="en")
+
+    @pytest.mark.parametrize("lexical", ["x\ud800y", "\udc00", "\U0001f9a9\udfff"])
+    def test_literal_rejects_lone_surrogates(self, lexical):
+        with pytest.raises(ValueError, match="lone surrogate"):
+            Literal(lexical)
+        with pytest.raises(ValueError, match="lone surrogate"):
+            Literal(lexical, language="en")
 
     def test_literal_comparison_is_lexical(self):
         assert Literal("1", XSD_INTEGER) != Literal("01", XSD_INTEGER)
@@ -216,10 +223,11 @@ class TestCanonicalNTriples:
         assert canonical_ntriples(g) == canonical_ntriples(h)
 
     def test_blank_nodes_rejected(self):
-        g = Graph()
-        g.insert(Triple(BlankNode("b"), NAME, Literal("x")))
-        with pytest.raises(ValueError):
-            canonical_ntriples(g)
+        for triple in (Triple(BlankNode("b"), NAME, Literal("x")), Triple(A_NODE, NAME, BlankNode("b"))):
+            g = Graph()
+            g.insert(triple)
+            with pytest.raises(ValueError):
+                canonical_ntriples(g)
 
     def test_lines_sorted_bytewise(self):
         rng = random.Random(9)

@@ -289,6 +289,10 @@ BAD_CODE_POINTS = [
     ("ex:a ex:p <http://example.org/\\U00110000> .", "escape '\\U00110000' does not encode a character", 2, 31),
     ("ex:a ex:p <http://example.org/\\uDBFF> .", "escape '\\uDBFF' does not encode a character", 2, 31),
     ("<http://example.org/\\U0000D800> ex:p ex:b .", "escape '\\U0000D800' does not encode a character", 2, 21),
+    # raw lone surrogates, reported where they stand
+    ('ex:a ex:p "ok\ud800" .', "lone surrogate U+D800 is not a character", 2, 14),
+    ('ex:a ex:p """\n\udfff""" .', "lone surrogate U+DFFF is not a character", 3, 1),
+    ("ex:a ex:p \udc00 .", "unexpected character '\\udc00'", 2, 11),
 ]
 
 
@@ -305,6 +309,7 @@ class TestLexerErrors:
             ('http://example.org/a"b', 'http://example.org/a"b'),
             ("http://example.org/{x}", "http://example.org/{x}"),
             ("http://example.org/\\u0020", "http://example.org/ "),
+            ("http://example.org/a\udc00", "http://example.org/a\udc00"),
         ],
     )
     def test_iri_character_errors_come_from_iri(self, written, value):
