@@ -10,12 +10,8 @@ from .coi import (
     AWARD_TO_LINKED_ORG,
     DUAL_ROLE,
     Finding,
-    Interval,
-    date_in_interval,
     detect_conflicts,
-    findings_to_csv,
     findings_to_json,
-    intervals_overlap,
 )
 from .ingest import (
     CONTRACT_HEADER,
@@ -32,7 +28,6 @@ from .ingest import (
 )
 from .minting import (
     EmptySlugError,
-    InvalidIntervalError,
     MintConfig,
     mint_entity_iri,
     mint_role_iri,
@@ -51,6 +46,7 @@ from .rdf_core import (
     parse_turtle,
     serialize_turtle,
 )
+from .util import Interval, InvalidIntervalError
 from .validate import Report, ReportEntry, Severity, check, infer_types
 from .vocab import (
     Disjointness,
@@ -105,13 +101,10 @@ __all__ = [
     "canonical_ntriples",
     "check",
     "contract_to_triples",
-    "date_in_interval",
     "default_prefixes",
     "detect_conflicts",
-    "findings_to_csv",
     "findings_to_json",
     "infer_types",
-    "intervals_overlap",
     "mint_entity_iri",
     "mint_role_iri",
     "normalize_name",

@@ -14,8 +14,9 @@ Every finding carries the evidence nodes backing its roles and
 contracts. Malformed nodes (unparseable or ambiguous dates, roles with
 no evidence) are skipped, not reported; that is the validator's job.
 
-Intervals are closed; a missing end date means the role is ongoing and
-the interval extends forever.
+A role's dates form a ``util.Interval``: closed, and a missing end date
+means the role is ongoing and the interval extends forever. A role
+pair's overlap is ``Interval.intersect``.
 
 Both patterns are indexed joins, not scans. Each call sorts the usable
 contracts by award date once and groups them by awarding org and by
@@ -28,8 +29,6 @@ roles × contracts.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -39,39 +38,10 @@ from operator import attrgetter
 
 from .namespaces import EPO, TRO
 from .rdf_core import Graph, Iri
-from .util import xsd_dates
+from .util import Interval, xsd_dates
 
 AWARD_TO_LINKED_ORG = "AWARD-TO-LINKED-ORG"
 DUAL_ROLE = "DUAL-ROLE"
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    start: date
-    end: date | None = None  # None = ongoing
-
-    def __post_init__(self) -> None:
-        if self.end is not None and self.end < self.start:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
-
-
-def intervals_overlap(a: Interval, b: Interval) -> bool:
-    a_end = a.end if a.end is not None else date.max
-    b_end = b.end if b.end is not None else date.max
-    return a.start <= b_end and b.start <= a_end
-
-
-def date_in_interval(d: date, interval: Interval) -> bool:
-    end = interval.end if interval.end is not None else date.max
-    return interval.start <= d <= end
-
-
-def _intersect(a: Interval, b: Interval) -> Interval | None:
-    if not intervals_overlap(a, b):
-        return None
-    start = max(a.start, b.start)
-    ends = [i.end for i in (a, b) if i.end is not None]
-    return Interval(start, min(ends) if ends else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +238,7 @@ def detect_conflicts(graph: Graph) -> list[Finding]:
         for r1, r2 in combinations(person_roles, 2):
             if r1.iri == r2.iri or r1.org == r2.org:
                 continue
-            overlap = _intersect(r1.interval, r2.interval)
+            overlap = r1.interval.intersect(r2.interval)
             if overlap is None:
                 continue
             witnesses = [
@@ -316,40 +286,3 @@ def findings_to_json(findings: list[Finding]) -> str:
         for f in findings
     ]
     return json.dumps(payload, indent=2)
-
-
-def findings_to_csv(findings: list[Finding]) -> str:
-    """One row per finding; multi-valued IRI columns are space-joined."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "patternId",
-            "person",
-            "roleIris",
-            "contract",
-            "organizations",
-            "overlapStart",
-            "overlapEnd",
-            "evidence",
-        ]
-    )
-    for f in findings:
-        if isinstance(f.overlap, date):
-            start = end = f.overlap.isoformat()
-        else:
-            start = f.overlap.start.isoformat()
-            end = f.overlap.end.isoformat() if f.overlap.end is not None else ""
-        writer.writerow(
-            [
-                f.pattern_id,
-                f.person.value,
-                " ".join(sorted(r.value for r in f.role_iris)),
-                f.contract.value if f.contract else "",
-                " ".join(sorted(o.value for o in f.organizations)),
-                start,
-                end,
-                " ".join(sorted(e.value for e in f.evidence)),
-            ]
-        )
-    return out.getvalue()

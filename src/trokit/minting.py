@@ -18,6 +18,7 @@ from datetime import date
 from urllib.parse import quote
 
 from .rdf_core import Iri
+from .util import Interval
 
 ENTITY_KINDS = ("person", "org", "contract", "evidence")
 
@@ -27,10 +28,6 @@ _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 
 class EmptySlugError(ValueError):
     """Raised when nothing alphanumeric survives name folding."""
-
-
-class InvalidIntervalError(ValueError):
-    """Raised when an end date precedes its start date."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +69,9 @@ def mint_role_iri(
 
     Open-ended roles use the literal component "ongoing" in the END
     slot; "ongoing" is not a valid ISO date, so no collision is
-    possible.
+    possible. Raises InvalidIntervalError when end precedes start.
     """
-    if end is not None and end < start:
-        raise InvalidIntervalError(f"end {end.isoformat()} precedes start {start.isoformat()}")
+    Interval(start, end)
     components = (
         normalize_name(person),
         normalize_name(role_type),

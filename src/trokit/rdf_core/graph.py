@@ -1,13 +1,15 @@
-"""An in-memory triple store with SPO / POS / OSP indexes.
+"""An in-memory triple store with SPO and POS indexes.
 
-Every match pattern is answered from the index whose bound positions
-come first, so lookups never scan the full triple set. All query
-results come back in a deterministic order (sorted by the canonical
-form of subject, predicate, object).
+A pattern with a bound subject is answered from ``_spo``, one with a
+bound predicate from ``_pos``. Object-bound patterns have no index of
+their own: ``(s, ?, o)`` walks the predicates of ``_spo[s]`` and
+``(?, ?, o)`` probes ``_pos[p][o]`` once per distinct predicate; neither
+scans the triple set. Results are sorted by the canonical form of
+subject, predicate, object, so their order is deterministic.
 
 trokit's own modules (coi, validate, turtle, ntriples) read the indexes
-directly: ``_spo[s][p]``, ``_pos[p][o]`` and ``_osp[o][s]`` are unsorted,
-non-empty sets, so ``p in _spo[s]`` means s has a p value.
+directly: ``_spo[s][p]`` and ``_pos[p][o]`` are unsorted, non-empty
+sets, so ``p in _spo[s]`` means s has a p value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class Graph:
     def __init__(self, prefixes: dict[str, Iri] | None = None) -> None:
         self._spo: dict[Iri | BlankNode, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Iri | BlankNode]]] = {}
-        self._osp: dict[Term, dict[Iri | BlankNode, set[Iri]]] = {}
         self._size = 0
         self.prefixes: dict[str, Iri] = dict(prefixes) if prefixes else {}
 
@@ -46,7 +47,6 @@ class Graph:
             return False
         self._spo.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple.object)
         self._pos.setdefault(triple.predicate, {}).setdefault(triple.object, set()).add(triple.subject)
-        self._osp.setdefault(triple.object, {}).setdefault(triple.subject, set()).add(triple.predicate)
         self._size += 1
         return True
 
@@ -57,7 +57,6 @@ class Graph:
         s, p, o = triple.subject, triple.predicate, triple.object
         self._discard(self._spo, s, p, o)
         self._discard(self._pos, p, o, s)
-        self._discard(self._osp, o, s, p)
         self._size -= 1
         return True
 
@@ -77,9 +76,9 @@ class Graph:
 
     def copy(self) -> "Graph":
         out = Graph(self.prefixes)
-        out._spo, out._pos, out._osp = (
+        out._spo, out._pos = (
             {a: {b: set(cs) for b, cs in inner.items()} for a, inner in index.items()}
-            for index in (self._spo, self._pos, self._osp)
+            for index in (self._spo, self._pos)
         )
         out._size = self._size
         return out
@@ -112,7 +111,7 @@ class Graph:
         if s is not None and p is not None:
             found = [Triple(s, p, obj) for obj in self._spo.get(s, {}).get(p, ())]
         elif s is not None and o is not None:
-            found = [Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, ())]
+            found = [Triple(s, pred, o) for pred, objs in self._spo.get(s, {}).items() if o in objs]
         elif p is not None and o is not None:
             found = [Triple(subj, p, o) for subj in self._pos.get(p, {}).get(o, ())]
         elif s is not None:
@@ -130,8 +129,8 @@ class Graph:
         elif o is not None:
             found = [
                 Triple(subj, pred, o)
-                for subj, preds in self._osp.get(o, {}).items()
-                for pred in preds
+                for pred, by_object in self._pos.items()
+                for subj in by_object.get(o, ())
             ]
         else:
             found = list(self.triples())

@@ -16,7 +16,8 @@ def canonical_ntriples(graph: Graph) -> str:
 
     Raises ValueError if the graph contains a blank node.
     """
-    if any(isinstance(term, BlankNode) for term in (*graph._spo, *graph._osp)):
+    pos_objects = (o for by_object in graph._pos.values() for o in by_object)
+    if any(isinstance(term, BlankNode) for term in (*graph._spo, *pos_objects)):
         raise ValueError("graph contains blank nodes, which have no canonical N-Triples form")
     lines = [
         f"{subject.n3()} {predicate.n3()} {obj.n3()} ."
@@ -24,5 +25,6 @@ def canonical_ntriples(graph: Graph) -> str:
         for predicate, objects in po.items()
         for obj in objects
     ]
-    lines.sort(key=lambda line: line.encode("utf-8"))
+    # code-point order is UTF-8 byte order, as terms hold no surrogates
+    lines.sort()
     return "".join(line + "\n" for line in lines)

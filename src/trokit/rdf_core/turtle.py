@@ -74,6 +74,7 @@ _IRI_BODY = rf"[^{_IRI_EXCLUDED}]*(?:(?:{_UCHAR})[^{_IRI_EXCLUDED}]*)*"
 _SHORT_BODY = rf'[^"\\\n\r{_SURROGATES}]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\\n\r{_SURROGATES}]*)*'
 # a run of three or more quotes ends a long string; its extra quotes are content
 _LONG_BODY = rf'[^"\\{_SURROGATES}]*(?:(?:"{{1,2}}(?!")|{_ECHAR}|{_UCHAR})[^"\\{_SURROGATES}]*)*'
+_PN_PREFIX = r"[A-Za-z][A-Za-z0-9_\-]*"
 # no leading '-', medial dots only: a trailing dot ends the statement
 _LOCAL = (
     rf"(?:(?:[A-Za-z0-9_]|%{_HEX}{{2}})[A-Za-z0-9_\-]*"
@@ -89,7 +90,7 @@ _TOKEN_RE = re.compile(
     + "(?:"
     + "|".join(
         [
-            rf"(?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:{_LOCAL})",
+            rf"(?P<pname>(?:{_PN_PREFIX})?:{_LOCAL})",
             rf'(?P<string>"(?!""){_SHORT_BODY}")',
             rf"(?P<iriref><{_IRI_BODY}>)",
             r"(?P<dot>\.(?!\d))",
@@ -177,7 +178,7 @@ def _tokens(text: str) -> Iterator[_Token]:
         last = kind
 
 
-_PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
+_PN_PREFIX_RE = re.compile(_PN_PREFIX)
 _IRI_SCAN_RE = re.compile(rf"<[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*")
 _SHORT_BODY_RE = re.compile(_SHORT_BODY)
 _LONG_BODY_RE = re.compile(_LONG_BODY)
@@ -443,7 +444,10 @@ def _render_term(term: Term, table: list[tuple[str, str]]) -> str:
 
 
 def serialize_turtle(graph: Graph) -> str:
-    """Write the graph in the subset's single deterministic shape."""
+    """Write the graph in the subset's single deterministic shape; ValueError on an unreadable prefix."""
+    for prefix in graph.prefixes:
+        if prefix and not _PN_PREFIX_RE.fullmatch(prefix):
+            raise ValueError(f"prefix {prefix!r} is not a Turtle prefix name")
     table = _prefix_table(graph)
     chunks: list[str] = []
     prefix_lines = [

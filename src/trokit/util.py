@@ -1,8 +1,9 @@
-"""Small shared helpers."""
+"""Small shared helpers: the one xsd:date reader and closed date intervals."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from datetime import date
 
 from .rdf_core import XSD_DATE, Literal
@@ -26,3 +27,27 @@ def xsd_dates(objects) -> list[date | None]:
         parse_iso_date(o.lexical) if isinstance(o, Literal) and o.datatype == XSD_DATE else None
         for o in objects
     ]
+
+
+class InvalidIntervalError(ValueError):
+    """Raised when an end date precedes its start date."""
+
+
+@dataclass(frozen=True, slots=True)
+class Interval:
+    """A closed date interval; an end of None means ongoing, without end."""
+
+    start: date
+    end: date | None = None
+
+    def __post_init__(self) -> None:
+        if self.end is not None and self.end < self.start:
+            raise InvalidIntervalError(f"end {self.end.isoformat()} precedes start {self.start.isoformat()}")
+
+    def intersect(self, other: Interval) -> Interval | None:
+        """The dates both intervals hold, or None when they share none."""
+        start = max(self.start, other.start)
+        end = min((i.end for i in (self, other) if i.end is not None), default=None)
+        if end is not None and end < start:
+            return None
+        return Interval(start, end)

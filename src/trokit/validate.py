@@ -155,11 +155,11 @@ def _bad_range(graph: Graph, types, vocab: Vocabulary):
 
 
 def _bad_date(graph: Graph, types, vocab: Vocabulary):
-    dated = [o for o in graph._osp if isinstance(o, Literal) and o.datatype == XSD_DATE]
-    for obj, parsed in zip(dated, xsd_dates(dated)):
-        if parsed is None:
-            for subject, preds in graph._osp[obj].items():
-                for pred in preds:
+    for pred, by_object in graph._pos.items():
+        dated = [o for o in by_object if isinstance(o, Literal) and o.datatype == XSD_DATE]
+        for obj, parsed in zip(dated, xsd_dates(dated)):
+            if parsed is None:
+                for subject in by_object[obj]:
                     yield subject, f"{pred.n3()} value {obj.lexical!r} is not a YYYY-MM-DD date"
 
 

@@ -16,15 +16,13 @@ from trokit import (
     Finding,
     Graph,
     Interval,
+    InvalidIntervalError,
     Iri,
     Literal,
     Triple,
     build_graph,
-    date_in_interval,
     detect_conflicts,
-    findings_to_csv,
     findings_to_json,
-    intervals_overlap,
     parse_contract_csv,
     parse_role_csv,
 )
@@ -194,39 +192,63 @@ def intervals(draw):
     return Interval(start, end)
 
 
+# a 40-day window across a leap day; open ends are clipped to its last day
+WINDOW = [date(2020, 2, 10) + timedelta(days=i) for i in range(40)]
+
+
+@st.composite
+def window_intervals(draw):
+    start = draw(st.integers(min_value=0, max_value=len(WINDOW) - 1))
+    end = draw(st.none() | st.integers(min_value=start, max_value=len(WINDOW) - 1))
+    return Interval(WINDOW[start], None if end is None else WINDOW[end])
+
+
+def _holds(interval: Interval, d: date) -> bool:
+    return interval.start <= d and (interval.end is None or d <= interval.end)
+
+
 class TestIntervals:
     def test_examples(self):
         a = Interval(date(2015, 1, 10), date(2020, 12, 31))
         b = Interval(date(2018, 1, 1), None)
-        assert intervals_overlap(a, b)
-        assert not intervals_overlap(a, Interval(date(2021, 1, 1), None))
+        assert a.intersect(b) == Interval(date(2018, 1, 1), date(2020, 12, 31))
+        assert a.intersect(Interval(date(2021, 1, 1), None)) is None
+        assert b.intersect(Interval(date(2019, 1, 1), None)) == Interval(date(2019, 1, 1), None)
         # closed intervals: touching endpoints do overlap
-        assert intervals_overlap(a, Interval(date(2020, 12, 31), date(2022, 1, 1)))
-
-    def test_date_membership(self):
-        a = Interval(date(2015, 1, 10), date(2020, 12, 31))
-        assert date_in_interval(date(2015, 1, 10), a)
-        assert date_in_interval(date(2020, 12, 31), a)
-        assert not date_in_interval(date(2021, 1, 1), a)
-        assert date_in_interval(date(9999, 1, 1), Interval(date(2015, 1, 10), None))
+        touching = Interval(date(2020, 12, 31), date(2022, 1, 1))
+        assert a.intersect(touching) == Interval(date(2020, 12, 31), date(2020, 12, 31))
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidIntervalError, match="^end 2019-01-01 precedes start 2020-01-01$"):
             Interval(date(2020, 1, 1), date(2019, 1, 1))
 
     @given(intervals(), intervals())
     def test_overlap_symmetric(self, a, b):
-        assert intervals_overlap(a, b) == intervals_overlap(b, a)
+        assert a.intersect(b) == b.intersect(a)
 
     @given(intervals())
     def test_overlap_reflexive(self, a):
-        assert intervals_overlap(a, a)
+        assert a.intersect(a) == a
 
     @given(intervals(), intervals())
     def test_overlap_witness(self, a, b):
-        if intervals_overlap(a, b):
-            witness = max(a.start, b.start)
-            assert date_in_interval(witness, a) and date_in_interval(witness, b)
+        witness = max(a.start, b.start)
+        overlap = a.intersect(b)
+        assert (overlap is not None) == (_holds(a, witness) and _holds(b, witness))
+        if overlap is not None:
+            assert overlap.start == witness
+
+    @given(window_intervals(), window_intervals())
+    def test_intersect_is_the_span_of_common_days(self, a, b):
+        common = {d for d in WINDOW if _holds(a, d) and _holds(b, d)}
+        overlap = a.intersect(b)
+        if not common:
+            assert overlap is None
+            return
+        assert overlap is not None
+        assert overlap.start == min(common)
+        assert (overlap.end or WINDOW[-1]) == max(common)
+        assert (overlap.end is None) == (a.end is None and b.end is None)
 
 
 class TestFindingInvariants:
@@ -508,20 +530,3 @@ class TestExports:
         (finding,) = detect_conflicts(g)
         obj = json.loads(findings_to_json([finding]))[0]
         assert obj["overlap"] == {"start": "2018-01-01", "end": None}
-
-    def test_csv_shape(self, contracts_csv, roles_csv):
-        findings = detect_conflicts(fixture_graph(contracts_csv, roles_csv))
-        lines = findings_to_csv(findings).splitlines()
-        assert lines[0] == (
-            "patternId,person,roleIris,contract,organizations,overlapStart,overlapEnd,evidence"
-        )
-        assert len(lines) == 2
-        row = lines[1].split(",")
-        assert row[0] == AWARD_TO_LINKED_ORG
-        assert row[5] == row[6] == "2018-03-01"  # date overlap fills both columns
-
-    def test_csv_multivalue_columns_space_joined(self, contracts_csv, roles_csv):
-        findings = detect_conflicts(fixture_graph(contracts_csv, roles_csv))
-        body = findings_to_csv(findings).splitlines()[1]
-        orgs_cell = body.split(",")[4]
-        assert orgs_cell.count(" ") == 1 and orgs_cell == " ".join(sorted(orgs_cell.split(" ")))

@@ -156,16 +156,26 @@ class TestGraph:
 
     def test_match_all_patterns_against_linear_scan(self):
         rng = random.Random(7)
+        a, b = Iri("http://example.org/a"), Iri("http://example.org/b")
+        shared = Literal("shared")
         for _ in range(30):
             g = random_graph(rng, max_triples=40)
-            terms = [None, Iri("http://example.org/a"), random_term(rng)]
-            preds = [None, Iri("http://example.org/a"), Iri("http://example.org/b")]
-            for s in terms:
-                if isinstance(s, Literal):
-                    continue
-                for p in preds:
-                    for o in terms:
-                        assert g.match(s, p, o) == linear_scan(g, s, p, o)
+            churned = g.copy()
+            # one object under two predicates and two subjects
+            churned.update(Triple(s, p, shared) for s in (a, b) for p in (a, b))
+            triples = sorted(churned.triples(), key=Triple.sort_key)
+            removed = rng.sample(triples, k=round(rng.random() * len(triples)))
+            assert all(churned.remove(t) for t in removed)
+            assert churned.update(rng.sample(removed, k=min(3, len(removed)))) == min(3, len(removed))
+            assert len(churned) == len(churned.triples())
+            terms = [None, a, b, random_term(rng), shared]
+            for graph in (g, churned):
+                for s in terms:
+                    if isinstance(s, Literal):
+                        continue
+                    for p in [None, a, b]:
+                        for o in terms:
+                            assert graph.match(s, p, o) == linear_scan(graph, s, p, o)
 
     def test_match_results_sorted(self):
         rng = random.Random(11)
@@ -232,5 +242,12 @@ class TestCanonicalNTriples:
     def test_lines_sorted_bytewise(self):
         rng = random.Random(9)
         g = random_graph(rng, max_triples=50)
+        beyond_ascii = ["z", "\u00e9", "\ue000", "\uffff", "\U00010000"]
+        for text in reversed(beyond_ascii):
+            g.insert(Triple(A_NODE, NAME, Literal(text)))
         lines = canonical_ntriples(g).splitlines()
         assert lines == sorted(lines, key=lambda s: s.encode("utf-8"))
+        prefix = f"{A_NODE.n3()} {NAME.n3()} "
+        assert [line for line in lines if line.startswith(prefix)] == [
+            f'{prefix}"{text}" .' for text in beyond_ascii
+        ]

@@ -1,6 +1,7 @@
 """Turtle subset: parser, errors, serializer, round-trips."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -186,6 +187,26 @@ class TestSerializer:
         g.insert(Triple(Iri(EX + "odd."), Iri(EX + "p"), Literal("x")))
         text = serialize_turtle(g)
         assert "<http://example.org/odd.>" in text
+
+    @pytest.mark.parametrize("prefix", ["1x", "a b", "a:b", "a.b", "-x"])
+    def test_unwritable_prefix_rejected(self, prefix):
+        bound, edited = Graph(), Graph()
+        bound.bind(prefix, Iri(EX))
+        edited.prefixes[prefix] = Iri(EX)
+        for g in (Graph({prefix: Iri(EX)}), bound, edited):
+            with pytest.raises(ValueError, match=f"prefix '{re.escape(prefix)}' is not a Turtle prefix name"):
+                serialize_turtle(g)
+
+    @pytest.mark.parametrize("prefix", ["", "ex", "ex-1", "a_b"])
+    def test_writable_prefix_round_trips(self, prefix):
+        g = Graph()
+        g.bind(prefix, Iri(EX))
+        g.insert(Triple(Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b")))
+        text = serialize_turtle(g)
+        assert f"@prefix {prefix}: <{EX}> ." in text and f"{prefix}:a {prefix}:p {prefix}:b ." in text
+        again = parse_turtle(text)
+        assert again.triples() == g.triples()
+        assert again.prefixes == g.prefixes
 
     def test_deterministic(self):
         rng = random.Random(13)
