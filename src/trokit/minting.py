@@ -48,9 +48,10 @@ def normalize_name(raw: str) -> str:
     collapse every run of other characters into one hyphen.
     Raises EmptySlugError when nothing survives.
     """
-    decomposed = unicodedata.normalize("NFKD", raw)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    slug = _NON_ALNUM_RE.sub("-", stripped.lower()).strip("-")
+    folded = raw  # ASCII is its own NFKD form and holds no combining marks
+    if not raw.isascii():
+        folded = "".join(ch for ch in unicodedata.normalize("NFKD", raw) if not unicodedata.combining(ch))
+    slug = _NON_ALNUM_RE.sub("-", folded.lower()).strip("-")
     if not slug:
         raise EmptySlugError(f"no alphanumeric content in {raw!r}")
     assert _SLUG_RE.match(slug)

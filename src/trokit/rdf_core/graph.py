@@ -5,7 +5,8 @@ bound predicate from ``_pos``. Object-bound patterns have no index of
 their own: ``(s, ?, o)`` walks the predicates of ``_spo[s]`` and
 ``(?, ?, o)`` probes ``_pos[p][o]`` once per distinct predicate; neither
 scans the triple set. Results are sorted by the canonical form of
-subject, predicate, object, so their order is deterministic.
+subject, predicate, object, so their order is deterministic;
+``subjects``, ``objects`` and ``value`` read one index column.
 
 trokit's own modules (coi, validate, turtle, ntriples) read the indexes
 directly: ``_spo[s][p]`` and ``_pos[p][o]`` are unsorted, non-empty
@@ -43,10 +44,15 @@ class Graph:
 
     def insert(self, triple: Triple) -> bool:
         """Add a triple; return False if it was already present."""
-        if triple in self:
+        return self._add(triple.subject, triple.predicate, triple.object)
+
+    def _add(self, s: Iri | BlankNode, p: Iri, o: Term) -> bool:
+        """The one insert body (insert's and the Turtle parser's); (s, p, o) must form a valid Triple."""
+        objs = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objs:
             return False
-        self._spo.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple.object)
-        self._pos.setdefault(triple.predicate, {}).setdefault(triple.object, set()).add(triple.subject)
+        objs.add(o)
+        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._size += 1
         return True
 
@@ -139,13 +145,11 @@ class Graph:
 
     def subjects(self, predicate: Iri | None = None, object: Term | None = None) -> list[Iri | BlankNode]:
         """Distinct subjects of triples matching the pattern, sorted."""
-        seen = {t.subject for t in self.match(None, predicate, object)}
-        return sorted(seen, key=lambda term: term.n3())
+        return _column(self._pos, predicate, object)
 
     def objects(self, subject: Iri | BlankNode | None = None, predicate: Iri | None = None) -> list[Term]:
         """Distinct objects of triples matching the pattern, sorted."""
-        seen = {t.object for t in self.match(subject, predicate, None)}
-        return sorted(seen, key=lambda term: term.n3())
+        return _column(self._spo, subject, predicate)
 
     def value(self, subject: Iri | BlankNode, predicate: Iri) -> Term | None:
         """The single object of (subject, predicate), or None.
@@ -153,8 +157,18 @@ class Graph:
         Returns None both when absent and when ambiguous; callers that
         care about the difference should use objects().
         """
-        objs = self.objects(subject, predicate)
-        return objs[0] if len(objs) == 1 else None
+        objs = self._spo.get(subject, {}).get(predicate, ())
+        return next(iter(objs)) if len(objs) == 1 else None
+
+
+def _column(index: dict, a: Term | None, b: Term | None) -> list:
+    """The distinct members of index[a][b], sorted by n3(); None is a wildcard."""
+    inners = (index.get(a, {}),) if a is not None else index.values()
+    if b is not None:
+        found = {x for inner in inners for x in inner.get(b, ())}
+    else:
+        found = {x for inner in inners for leaf in inner.values() for x in leaf}
+    return sorted(found, key=lambda term: term.n3())
 
 
 __all__ = ["Graph", "BlankNode", "Iri", "Literal", "Term", "Triple"]

@@ -2,7 +2,8 @@
 
 Terms are immutable value objects: equality and hashing follow the
 canonical (N-Triples style) form returned by ``n3()``, so terms and
-triples can be used freely in sets and as dict keys.
+triples can be used freely in sets and as dict keys. A hash is not
+cached, so hot paths (the Turtle parser) reuse one object per term.
 """
 
 from __future__ import annotations

@@ -21,6 +21,10 @@ raised: lines end at ``\n`` and columns count code points from 1.
 Escapes must name a Unicode scalar value; a surrogate or a code point
 above U+10FFFF is a parse error at its backslash; a raw lone surrogate
 is one where it stands in a string, and at the ``<`` of an IRI.
+Each parse memoises its terms by text (IRIREF body or prefixed-name
+expansion; lexical, datatype, language), so a distinct term is validated
+once and a repeated one is one object; the memo dies with the parse.
+Triples go in through ``Graph._add``, with no ``Triple``.
 
 The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
@@ -29,8 +33,9 @@ all objects sorted. Parsing its output yields the original graph.
 
 from __future__ import annotations
 
+import functools
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import NoReturn
 
 from .graph import Graph
@@ -47,7 +52,6 @@ from .model import (
     Iri,
     Literal,
     Term,
-    Triple,
     escape_literal,
 )
 
@@ -83,7 +87,7 @@ _LOCAL = (
 # comments must run to the end of the line, so no token is found inside one
 _TRIVIA = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
 _WORD_END = r"(?![A-Za-z0-9_\-])"
-_NUMBER_END = r"(?!\d|[eE][+\-]?\d)"
+_NUMBER_END = r"(?![0-9]|[eE][+\-]?[0-9])"
 
 _TOKEN_RE = re.compile(
     _TRIVIA
@@ -93,15 +97,15 @@ _TOKEN_RE = re.compile(
             rf"(?P<pname>(?:{_PN_PREFIX})?:{_LOCAL})",
             rf'(?P<string>"(?!""){_SHORT_BODY}")',
             rf"(?P<iriref><{_IRI_BODY}>)",
-            r"(?P<dot>\.(?!\d))",
+            r"(?P<dot>\.(?![0-9]))",
             r"(?P<semicolon>;)",
             r"(?P<comma>,)",
             r"(?P<at>@[A-Za-z0-9\-]*)",
             rf"(?P<a>a{_WORD_END})",
             r"(?P<datatype>\^\^)",
             rf'(?P<long>"""{_LONG_BODY}"*""")',
-            rf"(?P<decimal>[+\-]?\d*\.\d+{_NUMBER_END})",
-            rf"(?P<integer>[+\-]?\d+(?!\.\d){_NUMBER_END})",
+            rf"(?P<decimal>[+\-]?[0-9]*\.[0-9]+{_NUMBER_END})",
+            rf"(?P<integer>[+\-]?[0-9]+(?!\.[0-9]){_NUMBER_END})",
             r"(?P<blank>_:[A-Za-z0-9_]+)",
             rf"(?P<prefix>(?i:prefix){_WORD_END})",
             r"(?P<eof>\Z)",
@@ -133,8 +137,19 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokens(text: str) -> Iterator[_Token]:
-    """Yield the tokens of text, ending with ("eof", "", len(text))."""
+def _iri(text: str, start: int, body: str, terms: dict) -> Iri:
+    """The Iri of an IRIREF body, or of a prefixed name's expansion (no backslash, so its own body)."""
+    iri = terms.get(body)
+    if iri is None:
+        try:
+            iri = terms[body] = Iri(_ESCAPE_RE.sub(_unescape, body) if "\\" in body else body)
+        except ValueError as exc:
+            raise _error(text, start, str(exc)) from None
+    return iri
+
+
+def _tokens(text: str, terms: dict) -> Iterator[_Token]:
+    """Yield the tokens of text, ending with ("eof", "", len(text)); IRIREFs go through terms."""
     match = _TOKEN_RE.match
     pos = 0
     last = ""
@@ -155,11 +170,7 @@ def _tokens(text: str) -> Iterator[_Token]:
             if "\\" in value:
                 value = _ESCAPE_RE.sub(_unescape, value)
         elif kind == "iriref":
-            value = value[1:-1]
-            try:
-                value = Iri(_ESCAPE_RE.sub(_unescape, value) if "\\" in value else value)
-            except ValueError as exc:
-                raise _error(text, start, str(exc)) from None
+            value = _iri(text, start, value[1:-1], terms)
         elif kind == "at":
             # '@' right after a string is a language tag, anywhere else a directive
             if last == "string":
@@ -182,8 +193,8 @@ _PN_PREFIX_RE = re.compile(_PN_PREFIX)
 _IRI_SCAN_RE = re.compile(rf"<[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*")
 _SHORT_BODY_RE = re.compile(_SHORT_BODY)
 _LONG_BODY_RE = re.compile(_LONG_BODY)
-_NUMBER_RE = re.compile(r"[+\-]?\d*(?:\.\d+)?")
-_EXPONENT_RE = re.compile(r"[eE][+\-]?\d")
+_NUMBER_RE = re.compile(r"[+\-]?[0-9]*(?:\.[0-9]+)?")
+_EXPONENT_RE = re.compile(r"[eE][+\-]?[0-9]")
 _HEX_RUN_RE = re.compile(f"{_HEX}*")
 _TRIVIA_RE = re.compile(_TRIVIA)
 _UNSUPPORTED = {
@@ -228,7 +239,7 @@ def _diagnose(text: str, pos: int) -> NoReturn:
         raise _error(text, start, f"unknown directive '@{word}'")
     elif ch == "_" and text.startswith(":", start + 1):
         raise _error(text, start, "missing blank node label")
-    elif ch in "+-." or ch.isdecimal():
+    elif ch in "+-.0123456789":
         if _EXPONENT_RE.match(text, _NUMBER_RE.match(text, start).end()):
             raise _error(text, start, "double literals are not supported")
         raise _error(text, start, "malformed numeric literal")
@@ -274,7 +285,8 @@ _DESCRIBE = {
 class _Parser:
     def __init__(self, text: str) -> None:
         self._text = text
-        self._tokens = _tokens(text)
+        self._terms: dict = {}  # IRI text -> Iri (see _iri), (lexical, datatype, language) -> Literal
+        self._tokens = _tokens(text, self._terms)
         self._tok = next(self._tokens)
 
     def _next(self) -> _Token:
@@ -327,7 +339,7 @@ class _Parser:
 
     def _object_list(self, graph: Graph, subject: Iri | BlankNode, verb: Iri) -> None:
         while True:
-            graph.insert(Triple(subject, verb, self._object(graph)))
+            graph._add(subject, verb, self._object(graph))
             if self._tok[0] != "comma":
                 return
             self._next()
@@ -337,10 +349,14 @@ class _Parser:
         ns = graph.prefixes.get(prefix)
         if ns is None:
             raise self._error(f"undeclared prefix '{prefix}:'", tok)
-        try:
-            return Iri(ns.value + local)
-        except ValueError as exc:
-            raise self._error(str(exc), tok) from None
+        return _iri(self._text, tok[2], ns.value + local, self._terms)
+
+    def _literal(self, lexical: str, datatype: Iri = XSD_STRING, language: str | None = None) -> Literal:
+        key = (lexical, datatype, language)
+        lit = self._terms.get(key)
+        if lit is None:
+            lit = self._terms[key] = Literal(lexical, datatype, language)
+        return lit
 
     def _subject(self, graph: Graph) -> Iri | BlankNode:
         tok = self._next()
@@ -372,9 +388,9 @@ class _Parser:
         if kind == "iriref" or kind == "blank":
             return tok[1]
         if kind == "integer":
-            return Literal(tok[1], XSD_INTEGER)
+            return self._literal(tok[1], XSD_INTEGER)
         if kind == "decimal":
-            return Literal(tok[1], XSD_DECIMAL)
+            return self._literal(tok[1], XSD_DECIMAL)
         raise self._error(f"expected object (IRI, blank node or literal), found {_DESCRIBE[kind]}", tok)
 
     def _literal_tail(self, graph: Graph, tok: _Token) -> Literal:
@@ -389,16 +405,13 @@ class _Parser:
             else:
                 raise self._error(f"expected datatype IRI, found {_DESCRIBE[dt_tok[0]]}", dt_tok)
             try:
-                return Literal(tok[1], dt)
+                return self._literal(tok[1], dt)
             except ValueError as exc:
                 raise self._error(str(exc), dt_tok) from None
-        if nxt[0] == "langtag":
+        if nxt[0] == "langtag":  # the lexer has checked the tag
             self._next()
-            try:
-                return Literal(tok[1], language=nxt[1])
-            except ValueError as exc:
-                raise self._error(str(exc), nxt) from None
-        return Literal(tok[1])
+            return self._literal(tok[1], language=nxt[1])
+        return self._literal(tok[1])
 
 
 def parse_turtle(text: str) -> Graph:
@@ -427,9 +440,9 @@ def _render_iri(iri: Iri, table: list[tuple[str, str]]) -> str:
     return iri.n3()
 
 
-def _render_term(term: Term, table: list[tuple[str, str]]) -> str:
+def _render_term(term: Term, render_iri: Callable[[Iri], str]) -> str:
     if isinstance(term, Iri):
-        return _render_iri(term, table)
+        return render_iri(term)
     if isinstance(term, Literal):
         if term.language is not None:
             return f'"{escape_literal(term.lexical)}"@{term.language}'
@@ -439,7 +452,7 @@ def _render_term(term: Term, table: list[tuple[str, str]]) -> str:
             return term.lexical
         if term.datatype == XSD_STRING:
             return f'"{escape_literal(term.lexical)}"'
-        return f'"{escape_literal(term.lexical)}"^^{_render_iri(term.datatype, table)}'
+        return f'"{escape_literal(term.lexical)}"^^{render_iri(term.datatype)}'
     return term.n3()
 
 
@@ -449,6 +462,7 @@ def serialize_turtle(graph: Graph) -> str:
         if prefix and not _PN_PREFIX_RE.fullmatch(prefix):
             raise ValueError(f"prefix {prefix!r} is not a Turtle prefix name")
     table = _prefix_table(graph)
+    render_iri = functools.cache(lambda iri: _render_iri(iri, table))  # this call's memo
     chunks: list[str] = []
     prefix_lines = [
         f"@prefix {prefix}: {graph.prefixes[prefix].n3()} ."
@@ -461,11 +475,11 @@ def serialize_turtle(graph: Graph) -> str:
         preds = sorted(po, key=lambda p: (p != RDF_TYPE, p.n3()))
         segments = []
         for pred in preds:
-            verb = "a" if pred == RDF_TYPE else _render_iri(pred, table)
-            objs = ", ".join(_render_term(o, table) for o in sorted(po[pred], key=lambda t: t.n3()))
+            verb = "a" if pred == RDF_TYPE else render_iri(pred)
+            objs = ", ".join(_render_term(o, render_iri) for o in sorted(po[pred], key=lambda t: t.n3()))
             segments.append(f"{verb} {objs}")
         body = " ;\n    ".join(segments)
-        chunks.append(f"{_render_term(subject, table)} {body} .")
+        chunks.append(f"{_render_term(subject, render_iri)} {body} .")
 
     if not chunks:
         return ""

@@ -1,5 +1,7 @@
 """Deterministic IRI minting and name normalization."""
 
+import re
+import unicodedata
 from datetime import date
 
 import pytest
@@ -23,6 +25,21 @@ SLUG_OK = st.text(min_size=1, max_size=40).filter(
 )
 
 
+def nfkd_reference(raw):
+    """The folding formula for every name: NFKD, drop combining marks, lowercase, hyphenate."""
+    decomposed = unicodedata.normalize("NFKD", raw)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return re.sub(r"[^a-z0-9]+", "-", stripped.lower()).strip("-")
+
+
+def folded(raw):
+    """normalize_name's slug, or "" where it raises EmptySlugError."""
+    try:
+        return normalize_name(raw)
+    except EmptySlugError:
+        return ""
+
+
 class TestNormalizeName:
     @pytest.mark.parametrize(
         "raw, slug",
@@ -44,6 +61,25 @@ class TestNormalizeName:
         # no ASCII letter or digit survives folding any of these
         with pytest.raises(EmptySlugError):
             normalize_name(raw)
+
+    @pytest.mark.parametrize("raw", ["!!!", "\u00b4", "\u0301\u0300"])
+    def test_empty_slug_error_names_the_raw_name(self, raw):
+        with pytest.raises(EmptySlugError, match=re.escape(repr(raw))):
+            normalize_name(raw)
+
+    def test_every_ascii_code_point_matches_the_nfkd_formula(self):
+        for code in range(128):
+            ch = chr(code)
+            for raw in (ch, f"a{ch}b", f"{ch}{ch}Z9{ch}"):
+                assert folded(raw) == nfkd_reference(raw), repr(raw)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=40))
+    def test_ascii_names_match_the_nfkd_formula(self, raw):
+        assert folded(raw) == nfkd_reference(raw)
+
+    @given(st.text(max_size=40))
+    def test_any_names_match_the_nfkd_formula(self, raw):
+        assert folded(raw) == nfkd_reference(raw)
 
     @given(SLUG_OK)
     def test_idempotent(self, raw):

@@ -30,6 +30,11 @@ def linear_scan(graph, s, p, o):
     )
 
 
+def column(triples, position):
+    """Index-free oracle for subjects() and objects()."""
+    return sorted({getattr(t, position) for t in triples}, key=lambda term: term.n3())
+
+
 class TestTerms:
     def test_iri_requires_scheme(self):
         with pytest.raises(ValueError):
@@ -176,6 +181,12 @@ class TestGraph:
                     for p in [None, a, b]:
                         for o in terms:
                             assert graph.match(s, p, o) == linear_scan(graph, s, p, o)
+                            # the one-column reads: distinct, sorted by n3()
+                            assert graph.subjects(p, o) == column(linear_scan(graph, None, p, o), "subject")
+                        assert graph.objects(s, p) == column(linear_scan(graph, s, p, None), "object")
+                        if s is not None and p is not None:
+                            objs = column(linear_scan(graph, s, p, None), "object")
+                            assert graph.value(s, p) == (objs[0] if len(objs) == 1 else None)
 
     def test_match_results_sorted(self):
         rng = random.Random(11)

@@ -351,11 +351,19 @@ def objects_of(body):
 class TestLexerBoundaries:
     """Token boundaries the tokenizer must draw exactly where they were."""
 
-    def test_dot_before_non_ascii_digit_starts_a_decimal(self):
-        assert objects_of("ex:a ex:p .٣ .") == ['".٣"^^<http://www.w3.org/2001/XMLSchema#decimal>']
-        assert objects_of("ex:a ex:p 1.٣ .") == ['"1.٣"^^<http://www.w3.org/2001/XMLSchema#decimal>']
-        assert objects_of("ex:a ex:p ٣ .") == ['"٣"^^<http://www.w3.org/2001/XMLSchema#integer>']
-        expect_error(PREFIX_LINE + "ex:a ex:p ex:b.٣ .", "expected '.' at end of statement, found decimal literal", 2, 15)
+    def test_non_ascii_digits_are_not_number_digits(self):
+        # Turtle numbers are [0-9]; other Unicode decimal digits such as U+0663 are not
+        expect_error(PREFIX_LINE + "ex:a ex:p .٣ .", "unexpected character '٣'", 2, 12)
+        expect_error(PREFIX_LINE + "ex:a ex:p 1.٣ .", "unexpected character '٣'", 2, 13)
+        expect_error(PREFIX_LINE + "ex:a ex:p ٣ .", "unexpected character '٣'", 2, 11)
+        expect_error(PREFIX_LINE + "ex:a ex:p 1٣ .", "unexpected character '٣'", 2, 12)
+        expect_error(PREFIX_LINE + "ex:a ex:p ex:b.٣ .", "unexpected character '٣'", 2, 16)
+        expect_error(PREFIX_LINE + "ex:a ex:p 1e٣ .", "unexpected bare word 'e'", 2, 12)
+        assert objects_of("ex:a ex:p 1.5, .5, 12 .") == [
+            '".5"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+            '"1.5"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+            '"12"^^<http://www.w3.org/2001/XMLSchema#integer>',
+        ]
 
     def test_digits_are_decimal_digits_only(self):
         # superscripts pass str.isdigit but are not decimal digits
@@ -395,6 +403,79 @@ class TestLexerBoundaries:
         assert (t.predicate, t.object) == (RDF_TYPE, Iri("http://f.org/C"))
         expect_error("a:b a:c a:d .", "undeclared prefix 'a:'", 1, 1)
         expect_error("Base <http://example.org/>", "base directives are not supported", 1, 1)
+
+
+def term_objects(graph):
+    """Every term object the graph's indexes hold, as ids grouped by equal term."""
+    found = {}
+    for index in (graph._spo, graph._pos):
+        for a, inner in index.items():
+            for b, leaves in inner.items():
+                for term in (a, b, *leaves, *(x.datatype for x in (b, *leaves) if isinstance(x, Literal))):
+                    found.setdefault(term, set()).add(id(term))
+    return found
+
+
+class TestTermMemo:
+    """One parse builds each distinct term once; the same text still means the same term."""
+
+    def test_rebound_prefix_gives_distinct_iris(self):
+        g = parse(
+            '@prefix ex: <http://one.example/> .\nex:s ex:p ex:x, "v"^^ex:d .\n'
+            '@prefix ex: <http://two.example/> .\nex:s ex:p ex:x, "v"^^ex:d .\n'
+        )
+        assert len(g) == 4
+        assert [t.n3() for t in g] == [
+            '<http://one.example/s> <http://one.example/p> "v"^^<http://one.example/d> .',
+            "<http://one.example/s> <http://one.example/p> <http://one.example/x> .",
+            '<http://two.example/s> <http://two.example/p> "v"^^<http://two.example/d> .',
+            "<http://two.example/s> <http://two.example/p> <http://two.example/x> .",
+        ]
+
+    def test_language_tags_differing_in_case_give_one_term(self):
+        g = parse(PREFIX_LINE + 'ex:a ex:p "x"@EN .\nex:b ex:p "x"@en .\nex:c ex:p "x"@En-gB, "x" .')
+        p = Iri(EX + "p")
+        (upper,) = g.objects(Iri(EX + "a"), p)
+        (lower,) = g.objects(Iri(EX + "b"), p)
+        assert upper == lower == Literal("x", language="en")
+        assert hash(upper) == hash(lower) == hash(Literal("x", language="en"))
+        assert g.subjects(p, lower) == [Iri(EX + "a"), Iri(EX + "b")]
+        assert g.objects(Iri(EX + "c"), p) == [Literal("x"), Literal("x", language="en-gb")]
+
+    def test_repeated_terms_are_one_object(self):
+        g = parse(
+            PREFIX_LINE
+            + 'ex:a ex:p <http://example.org/b>, "s", 7, 1.5, "t"@en, "d"^^ex:dt, "7"^^<http://example.org/dt> .\n'
+            + 'ex:b ex:p ex:a ; ex:q ex:b, "s", 7, 1.5, "t"@en, "d"^^<http://example.org/dt>, "7"^^ex:dt .\n'
+            + '<http://example.org/dt> ex:q ex:p, "7"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+        )
+        found = term_objects(g)
+        assert {t.n3() for t, ids in found.items() if len(ids) > 1} == set()
+        assert Literal("7", XSD_INTEGER) in found and Iri(EX + "dt") in found
+        # a number and a string of the same lexical form stay distinct terms
+        assert g.objects(Iri(EX + "b"), Iri(EX + "q")).count(Literal("7", XSD_INTEGER)) == 1
+        assert Literal("7", Iri(EX + "dt")) in g.objects(Iri(EX + "b"), Iri(EX + "q"))
+
+    def test_an_escaped_iri_equals_its_plain_spelling(self):
+        g = parse(PREFIX_LINE + "ex:a ex:p <http://example.org/\\u0062>, <http://example.org/b>, ex:b .")
+        assert g.objects(Iri(EX + "a"), Iri(EX + "p")) == [Iri(EX + "b")]
+
+    def test_terms_are_not_shared_between_parses(self):
+        text = PREFIX_LINE + 'ex:a ex:p "s" .'
+        (first,), (second,) = parse(text).triples(), parse(text).triples()
+        assert first == second
+        assert first.subject is not second.subject and first.object is not second.object
+
+    @pytest.mark.parametrize(
+        "body, message, line",
+        [
+            ("ex:a ex:p <rel> .\nex:b ex:p <rel> .", "IRI is not absolute (no scheme): 'rel'", 2),
+            ("ex:a ex:p <rel>, <rel> .", "IRI is not absolute (no scheme): 'rel'", 2),
+            ("ex:a ex:q ex:c .\nex:a ex:p <http://x/\\u0020>, <http://x/\\u0020> .", "disallowed character ' '", 3),
+        ],
+    )
+    def test_an_invalid_iri_raises_at_its_first_use(self, body, message, line):
+        expect_error(PREFIX_LINE + body, message, line, 11)
 
 
 def _big_graph():
@@ -449,3 +530,88 @@ class TestHypothesisRoundTrip:
             g.insert(Triple(Iri(EX + "a"), Iri(EX + "p"), lit))
         nt = canonical_ntriples(g)
         assert canonical_ntriples(parse_turtle(nt)) == nt
+
+
+# Overlapping namespaces, so several prefixes can cover one IRI and the
+# longest namespace must win; some locals are unwritable as prefixed names.
+_NAMESPACES = [
+    "http://example.org/",
+    "http://example.org/a",
+    "http://example.org/a/",
+    "http://example.org/some/",
+    "http://example.org/some/path#",
+    "urn:",
+    "urn:uuid:",
+]
+_IRIS = st.sampled_from(
+    [
+        "http://example.org/",
+        "http://example.org/a",
+        "http://example.org/ab",
+        "http://example.org/a/b",
+        "http://example.org/a/b.c",
+        "http://example.org/odd.",
+        "http://example.org/some/path#frag",
+        "urn:uuid:c0ffee00-1234",
+        "http://other.example/x",
+    ]
+).map(Iri)
+_PREFIX_NAMES = st.one_of(
+    st.sampled_from(["", "ex", "a", "ab", "x-1", "a_b", "p0"]),
+    st.text(alphabet="ab1-_.: ", min_size=1, max_size=3),
+)
+_PN_PREFIX_GRAMMAR = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
+# the local-name grammar, for locals without '%' (none of _IRIS has one)
+_LOCAL_GRAMMAR = re.compile(r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.[A-Za-z0-9_\-]+)*)?")
+
+
+def expected_name(iri, prefixes):
+    """The longest bound namespace with a writable local wins; ties go to the smaller prefix."""
+    options = [
+        (-len(ns.value), prefix, iri.value[len(ns.value):])
+        for prefix, ns in prefixes.items()
+        if iri.value.startswith(ns.value) and _LOCAL_GRAMMAR.fullmatch(iri.value[len(ns.value):])
+    ]
+    if not options:
+        return iri.n3()
+    _, prefix, local = min(options)
+    return f"{prefix}:{local}"
+
+
+class TestHypothesisSerializer:
+    @given(
+        st.dictionaries(_PREFIX_NAMES, st.sampled_from(_NAMESPACES).map(Iri), max_size=5),
+        st.lists(st.tuples(_IRIS, _IRIS, st.one_of(_IRIS, _LITERALS)), max_size=8),
+    )
+    def test_round_trips_or_names_the_bad_prefix(self, prefixes, triples):
+        g = Graph(prefixes)
+        g.update(Triple(*t) for t in triples)
+        bad = [p for p in prefixes if p and not _PN_PREFIX_GRAMMAR.fullmatch(p)]
+        try:
+            text = serialize_turtle(g)
+        except ValueError as exc:
+            assert str(exc) in {f"prefix {p!r} is not a Turtle prefix name" for p in bad}
+            return
+        assert not bad
+        again = parse_turtle(text)
+        assert again.triples() == g.triples()
+        assert again.prefixes == g.prefixes
+        # the chosen prefixed names depend on the bindings, not on their order
+        reordered = Graph(dict(reversed(prefixes.items())))
+        reordered.update(g.triples())
+        assert serialize_turtle(reordered) == text
+
+    @given(
+        st.dictionaries(
+            _PREFIX_NAMES.filter(lambda p: not p or _PN_PREFIX_GRAMMAR.fullmatch(p)),
+            st.sampled_from(_NAMESPACES).map(Iri),
+            max_size=5,
+        ),
+        st.lists(_IRIS, min_size=1, max_size=4, unique=True),
+    )
+    def test_each_iri_takes_the_longest_namespace(self, prefixes, iris):
+        g = Graph(prefixes)
+        g.update(Triple(i, i, i) for i in iris)
+        lines = [line for line in serialize_turtle(g).splitlines() if line and not line.startswith("@prefix ")]
+        names = [expected_name(i, prefixes) for i in iris]
+        assert sorted(lines) == sorted(f"{n} {n} {n} ." for n in names)
