@@ -171,6 +171,104 @@ class TestRoleRows:
         assert report.accepted == 1
 
 
+class TestReasonOrder:
+    """A row with several faults is rejected once, for the first failing check."""
+
+    @pytest.mark.parametrize(
+        "bad_row, reason",
+        [
+            # every emptiness check runs before any slug check
+            ("C-1,T,***,,2020-01-01,10,https://e.org/x", "awarded_org is empty"),
+            (",T,***,Beta,soon,-5,nope", "contract_id is empty"),
+            (
+                "C-1,T,Alpha,***,soon,-5,nope",
+                "awarded_org '***' has no usable characters for an identifier",
+            ),
+            ("C-1,T,Alpha,Beta,soon,-5,nope", "award_date 'soon' is not a YYYY-MM-DD date"),
+            ("C-1,T,Alpha,Beta,2020-01-01,-5,nope", "amount_eur '-5' is negative"),
+            (
+                "C-1,T,Alpha,Beta,2020-01-01,12 euros,nope",
+                "amount_eur '12 euros' is not a decimal number",
+            ),
+            # a wrong field count beats every other fault
+            (",T,,,soon,x,nope,extra", "expected 7 fields, got 8"),
+            (",T,***", "expected 7 fields, got 3"),
+        ],
+    )
+    def test_contract(self, bad_row, reason):
+        _, report = parse_contract_csv(contract_rows(bad_row))
+        assert [(r.line, r.reason) for r in report.rejected] == [(2, reason)]
+
+    @pytest.mark.parametrize(
+        "bad_row, reason",
+        [
+            # each name field is checked for emptiness and slug in turn
+            (
+                "???,chair,,2019-01-01,,,,https://e.org/x,T,P,2020-01-01",
+                "person_name '???' has no usable characters for an identifier",
+            ),
+            (
+                "Ana,***,,2019-01-01,,,,https://e.org/x,T,P,2020-01-01",
+                "role_type '***' has no usable characters for an identifier",
+            ),
+            (
+                "Ana,chair,Alpha,yesterday,,,,nope,T,P,2020-01-01",
+                "start_date 'yesterday' is not a YYYY-MM-DD date",
+            ),
+            (
+                "Ana,chair,Alpha,2019-01-01,bad,,,nope,T,P,someday",
+                "end_date 'bad' is not a YYYY-MM-DD date",
+            ),
+            (
+                "Ana,chair,Alpha,2020-01-01,2019-01-01,director,,nope,T,P,someday",
+                "end_date '2019-01-01' precedes start_date '2020-01-01'",
+            ),
+            (
+                "Ana,chair,Alpha,2019-01-01,,director,,nope,T,P,someday",
+                "relation 'director' is not one of ('owner', 'affiliated') or empty",
+            ),
+            (
+                "Ana,chair,Alpha,2019-01-01,,owner,,nope,T,P,someday",
+                "relation and related_org must be given together",
+            ),
+            (
+                "Ana,chair,Alpha,2019-01-01,,owner,***,nope,T,P,someday",
+                "related_org '***' has no usable characters for an identifier",
+            ),
+            (
+                "Ana,chair,Alpha,2019-01-01,,,,nope,T,P,someday",
+                "evidence_url 'nope' is not a valid IRI",
+            ),
+            (",,,bad,bad,bad,***,nope,T,P,someday,extra", "expected 11 fields, got 12"),
+            ("???,chair", "expected 11 fields, got 2"),
+        ],
+    )
+    def test_role(self, bad_row, reason):
+        _, report = parse_role_csv(role_rows(bad_row))
+        assert [(r.line, r.reason) for r in report.rejected] == [(2, reason)]
+
+    def test_lines_after_blank_line_and_multiline_field(self):
+        # a rejected row is located at the physical line it ends on
+        text = contract_rows(
+            GOOD_CONTRACT,
+            "",
+            "bad row",
+            'C-2,"two\nlines",Alpha,Beta,2020-01-01,10,nope',
+            "bad row",
+            "",
+            GOOD_CONTRACT,
+            "x",
+        )
+        records, report = parse_contract_csv(text)
+        assert len(records) == report.accepted == 2
+        assert [(r.line, r.reason) for r in report.rejected] == [
+            (4, "expected 7 fields, got 1"),
+            (6, "source_url 'nope' is not a valid IRI"),
+            (7, "expected 7 fields, got 1"),
+            (10, "expected 7 fields, got 1"),
+        ]
+
+
 class TestContractTriples:
     def test_exact_shape(self, contracts_csv):
         records, _ = parse_contract_csv(contracts_csv)
