@@ -1,19 +1,23 @@
 """Flat-record ingestion: tender registry and news-evidence CSV to triples.
 
 Two fixed CSV schemas (headers must match exactly). A malformed header
-aborts; malformed rows never do -- they are collected with a reason in
-the IngestReport while the remaining rows proceed. Row validation also
-pre-checks that every name the row will mint an IRI from survives slug
-folding, so record-to-triple conversion cannot fail later.
+aborts; malformed rows never do. One reader reads each row once and
+hands it to its schema's record function, which runs the row's checks
+in a fixed order and builds the record from the values they parsed.
+The first failing check gives a rejected row its one reason in the
+IngestReport, and the remaining rows proceed. The checks include that
+every name the row will mint an IRI from survives slug folding, so
+record-to-triple conversion cannot fail later.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import date
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 from .minting import EmptySlugError, MintConfig, mint_entity_iri, mint_role_iri, normalize_name
 from .namespaces import DC, DCTERMS, EPO, GIST, GR, SCHEMA, TRO, default_prefixes
@@ -53,6 +57,9 @@ ROLE_HEADER = [
 ]
 
 RELATIONS = ("owner", "affiliated")
+
+# the xsd:decimal lexical space
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
 
 
 class HeaderMismatchError(ValueError):
@@ -105,127 +112,101 @@ class IngestReport:
         return self.accepted + len(self.rejected)
 
 
-def _rows(text: str, expected_header: list[str]):
+class _Rejected(Exception):
+    """A row check failed; its one argument is the row's reason."""
+
+
+def _parse(text: str, header: list[str], record) -> tuple[list, IngestReport]:
+    """Each non-blank row, as ``record(*row)`` or as the reason it was rejected."""
     # Excel's "CSV UTF-8" export starts with a byte order mark
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatchError(expected_header, None) from None
-    if header != expected_header:
-        raise HeaderMismatchError(expected_header, header)
+    if (actual := next(reader, None)) != header:
+        raise HeaderMismatchError(header, actual)
+    records = []
+    rejected: list[RejectedRow] = []
     for row in reader:
         if not row:
             continue
-        yield reader.line_num, row
+        try:
+            if len(row) != len(header):
+                raise _Rejected(f"expected {len(header)} fields, got {len(row)}")
+            records.append(record(*row))
+        except _Rejected as exc:
+            rejected.append(RejectedRow(reader.line_num, exc.args[0]))
+    return records, IngestReport(len(records), tuple(rejected))
 
 
-def _sluggable(value: str, field: str) -> str | None:
-    """Reason string when value cannot become an IRI component."""
+def _filled(field: str, value: str) -> None:
+    if not value:
+        raise _Rejected(f"{field} is empty")
+
+
+def _name(field: str, value: str) -> None:
+    """Reject a value that cannot become an IRI component."""
+    _filled(field, value)
     try:
         normalize_name(value)
     except EmptySlugError:
-        return f"{field} {value!r} has no usable characters for an identifier"
-    return None
+        raise _Rejected(f"{field} {value!r} has no usable characters for an identifier") from None
+
+
+def _date(field: str, value: str) -> date:
+    parsed = parse_iso_date(value)
+    if parsed is None:
+        raise _Rejected(f"{field} {value!r} is not a YYYY-MM-DD date")
+    return parsed
+
+
+def _iri(field: str, value: str) -> None:
+    try:
+        Iri(value)
+    except ValueError:
+        raise _Rejected(f"{field} {value!r} is not a valid IRI") from None
+
+
+def _contract_record(cid, title, by_org, to_org, award, amount, url) -> ContractRecord:
+    for field, value in (("contract_id", cid), ("awarding_org", by_org), ("awarded_org", to_org)):
+        _filled(field, value)
+    _name("awarding_org", by_org)
+    _name("awarded_org", to_org)
+    award_date = _date("award_date", award)
+    if not _DECIMAL_RE.fullmatch(amount):
+        raise _Rejected(f"amount_eur {amount!r} is not a decimal number")
+    if Decimal(amount) < 0:
+        raise _Rejected(f"amount_eur {amount!r} is negative")
+    _iri("source_url", url)
+    return ContractRecord(cid, title, by_org, to_org, award_date, amount, url)
 
 
 def parse_contract_csv(text: str) -> tuple[list[ContractRecord], IngestReport]:
-    records: list[ContractRecord] = []
-    rejected: list[RejectedRow] = []
-    for line, row in _rows(text, CONTRACT_HEADER):
-        reason = _contract_row_problem(row)
-        if reason is not None:
-            rejected.append(RejectedRow(line, reason))
-            continue
-        cid, title, by_org, to_org, award, amount, url = row
-        records.append(
-            ContractRecord(cid, title, by_org, to_org, parse_iso_date(award), amount, url)
-        )
-    return records, IngestReport(len(records), tuple(rejected))
+    return _parse(text, CONTRACT_HEADER, _contract_record)
 
 
-def _contract_row_problem(row: list[str]) -> str | None:
-    if len(row) != len(CONTRACT_HEADER):
-        return f"expected {len(CONTRACT_HEADER)} fields, got {len(row)}"
-    cid, _title, by_org, to_org, award, amount, url = row
-    for field, value in (("contract_id", cid), ("awarding_org", by_org), ("awarded_org", to_org)):
-        if not value:
-            return f"{field} is empty"
-    for field, value in (("awarding_org", by_org), ("awarded_org", to_org)):
-        if (reason := _sluggable(value, field)) is not None:
-            return reason
-    if parse_iso_date(award) is None:
-        return f"award_date {award!r} is not a YYYY-MM-DD date"
-    try:
-        if Decimal(amount) < 0:
-            return f"amount_eur {amount!r} is negative"
-    except InvalidOperation:
-        return f"amount_eur {amount!r} is not a decimal number"
-    try:
-        Iri(url)
-    except ValueError:
-        return f"source_url {url!r} is not a valid IRI"
-    return None
+def _role_record(
+    person, role_type, org, start, end, relation, related, url, title, publisher, ev_date
+) -> RoleEvidenceRecord:
+    for field, value in (("person_name", person), ("role_type", role_type), ("org", org)):
+        _name(field, value)
+    start_date = _date("start_date", start)
+    end_date = _date("end_date", end) if end else None
+    if end_date is not None and end_date < start_date:
+        raise _Rejected(f"end_date {end!r} precedes start_date {start!r}")
+    if relation and relation not in RELATIONS:
+        raise _Rejected(f"relation {relation!r} is not one of {RELATIONS} or empty")
+    if bool(relation) != bool(related):
+        raise _Rejected("relation and related_org must be given together")
+    if related:
+        _name("related_org", related)
+    _iri("evidence_url", url)
+    evidence_date = _date("evidence_date", ev_date)
+    return RoleEvidenceRecord(
+        person, role_type, org, start_date, end_date, relation or None, related or None,
+        url, title, publisher, evidence_date,
+    )
 
 
 def parse_role_csv(text: str) -> tuple[list[RoleEvidenceRecord], IngestReport]:
-    records: list[RoleEvidenceRecord] = []
-    rejected: list[RejectedRow] = []
-    for line, row in _rows(text, ROLE_HEADER):
-        reason = _role_row_problem(row)
-        if reason is not None:
-            rejected.append(RejectedRow(line, reason))
-            continue
-        person, role_type, org, start, end, relation, related, url, title, publisher, ev_date = row
-        records.append(
-            RoleEvidenceRecord(
-                person_name=person,
-                role_type=role_type,
-                org=org,
-                start=parse_iso_date(start),
-                end=parse_iso_date(end) if end else None,
-                relation=relation or None,
-                related_org=related or None,
-                evidence_url=url,
-                evidence_title=title,
-                publisher=publisher,
-                evidence_date=parse_iso_date(ev_date),
-            )
-        )
-    return records, IngestReport(len(records), tuple(rejected))
-
-
-def _role_row_problem(row: list[str]) -> str | None:
-    if len(row) != len(ROLE_HEADER):
-        return f"expected {len(ROLE_HEADER)} fields, got {len(row)}"
-    person, role_type, org, start, end, relation, related, url, _title, _publisher, ev_date = row
-    for field, value in (("person_name", person), ("role_type", role_type), ("org", org)):
-        if not value:
-            return f"{field} is empty"
-        if (reason := _sluggable(value, field)) is not None:
-            return reason
-    start_date = parse_iso_date(start)
-    if start_date is None:
-        return f"start_date {start!r} is not a YYYY-MM-DD date"
-    if end:
-        end_date = parse_iso_date(end)
-        if end_date is None:
-            return f"end_date {end!r} is not a YYYY-MM-DD date"
-        if end_date < start_date:
-            return f"end_date {end!r} precedes start_date {start!r}"
-    if relation and relation not in RELATIONS:
-        return f"relation {relation!r} is not one of {RELATIONS} or empty"
-    if bool(relation) != bool(related):
-        return "relation and related_org must be given together"
-    if related and (reason := _sluggable(related, "related_org")) is not None:
-        return reason
-    try:
-        Iri(url)
-    except ValueError:
-        return f"evidence_url {url!r} is not a valid IRI"
-    if parse_iso_date(ev_date) is None:
-        return f"evidence_date {ev_date!r} is not a YYYY-MM-DD date"
-    return None
+    return _parse(text, ROLE_HEADER, _role_record)
 
 
 def _org_triples(cfg: MintConfig, name: str) -> tuple[Iri, set[Triple]]:

@@ -32,7 +32,7 @@ from enum import IntEnum
 from .namespaces import DC, DCTERMS, OWL, RDFS, TRO
 from .rdf_core import RDF_TYPE, XSD_DATE, BlankNode, Graph, Iri, Literal, Term, Triple
 from .util import xsd_dates
-from .vocab import UnknownClassError, Vocabulary, subclass_closure
+from .vocab import Vocabulary
 
 _PROVENANCE_PROPS = (DC.contributor, DCTERMS.created, DCTERMS.modified, DC.date)
 _DECLARED_KINDS = (OWL.Class, OWL.ObjectProperty, OWL.DatatypeProperty, OWL.AnnotationProperty)
@@ -99,10 +99,7 @@ def _types(graph: Graph, vocab: Vocabulary) -> dict[Iri | BlankNode, set[Iri]]:
     for cls, nodes in graph._pos.get(RDF_TYPE, {}).items():
         if not isinstance(cls, Iri):
             continue
-        try:
-            widened = subclass_closure(vocab, cls)
-        except UnknownClassError:
-            widened = {cls}
+        widened = vocab._closures.get(cls, (cls,))
         for node in nodes:
             types.setdefault(node, set()).update(widened)
     return types

@@ -102,19 +102,39 @@ class Vocabulary:
 
     Construction verifies that constraints only mention registered
     terms (datatype range IRIs excepted: XSD datatypes are not terms)
-    and that the subclass relation is acyclic.
+    and that the subclass relation is acyclic; it also computes each
+    class's subclass closure, once.
     """
 
     terms: dict[Iri, VocabTerm]
     constraints: tuple[SchemaConstraint, ...]
     namespaces: dict[str, Iri] = field(default_factory=default_prefixes)
 
+    # class -> itself plus all its transitive superclasses
+    _closures: dict[Iri, frozenset[Iri]] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         for constraint in self.constraints:
             for iri in self._referenced(constraint):
                 if iri not in self.terms:
                     raise ValueError(f"constraint references unknown term {iri}")
-        self._check_acyclic()
+        edges = self.subclass_edges()
+        closures: dict[Iri, frozenset[Iri]] = {}
+        on_path: set[Iri] = set()
+
+        def close(node: Iri) -> frozenset[Iri]:
+            if node in on_path:
+                raise ValueError(f"subclass cycle through {node}")
+            if node not in closures:
+                on_path.add(node)
+                closures[node] = frozenset({node}).union(*map(close, edges.get(node, ())))
+                on_path.discard(node)
+            return closures[node]
+
+        for sub in edges:  # from every edge, so a cycle through properties is caught too
+            close(sub)
+        classes = {iri: close(iri) for iri, term in self.terms.items() if term.kind == TermKind.CLASS}
+        object.__setattr__(self, "_closures", classes)
 
     @staticmethod
     def _referenced(constraint: SchemaConstraint) -> list[Iri]:
@@ -127,25 +147,6 @@ class Vocabulary:
                 return [constraint.prop, constraint.range]
             return [constraint.prop]
         return [constraint.sub, constraint.sup]
-
-    def _check_acyclic(self) -> None:
-        edges = self.subclass_edges()
-        seen: set[Iri] = set()
-        stack: set[Iri] = set()
-
-        def visit(node: Iri) -> None:
-            if node in stack:
-                raise ValueError(f"subclass cycle through {node}")
-            if node in seen:
-                return
-            stack.add(node)
-            for sup in edges.get(node, ()):
-                visit(sup)
-            stack.discard(node)
-            seen.add(node)
-
-        for sub in edges:
-            visit(sub)
 
     def subclass_edges(self) -> dict[Iri, set[Iri]]:
         edges: dict[Iri, set[Iri]] = {}
@@ -172,19 +173,10 @@ def subclass_closure(vocab: Vocabulary, cls: Iri) -> set[Iri]:
 
     Raises UnknownClassError when cls is not a registered class.
     """
-    term = vocab.terms.get(cls)
-    if term is None or term.kind != TermKind.CLASS:
+    closure = vocab._closures.get(cls)
+    if closure is None:
         raise UnknownClassError(f"not a known class: {cls}")
-    edges = vocab.subclass_edges()
-    closure = {cls}
-    frontier = [cls]
-    while frontier:
-        node = frontier.pop()
-        for sup in edges.get(node, ()):
-            if sup not in closure:
-                closure.add(sup)
-                frontier.append(sup)
-    return closure
+    return set(closure)
 
 
 def _class(iri: Iri, label: str, definition: str) -> VocabTerm:

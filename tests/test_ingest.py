@@ -105,6 +105,35 @@ class TestContractRows:
         assert len(report.rejected) == 1
         assert fragment in report.rejected[0].reason
 
+    @pytest.mark.parametrize(
+        "amount", ["Infinity", "-Infinity", "NaN", "1e5", " 12 ", "1_000", "١٢", "", "+", ".", "-."]
+    )
+    def test_amount_outside_xsd_decimal_lexical_form(self, amount):
+        records, report = parse_contract_csv(
+            contract_rows(f"C-1,T,Alpha,Beta,2020-01-01,{amount},https://e.org/x")
+        )
+        assert records == []
+        assert [r.reason for r in report.rejected] == [f"amount_eur {amount!r} is not a decimal number"]
+
+    @pytest.mark.parametrize("amount", ["-0", "5.", ".5", "+12.50", "0", "007.10"])
+    def test_amount_kept_as_written(self, amount):
+        records, report = parse_contract_csv(
+            contract_rows(f"C-1,T,Alpha,Beta,2020-01-01,{amount},https://e.org/x")
+        )
+        assert report.rejected == () and records[0].amount == amount
+
+    def test_corpus_amount_breakers_keep_their_reasons(self):
+        _, report = parse_contract_csv(
+            contract_rows(
+                "C-1,T,Alpha,Beta,2020-01-01,-1500.00,https://e.org/x",
+                'C-2,T,Alpha,Beta,2020-01-01,"12,5",https://e.org/x',
+            )
+        )
+        assert [r.reason for r in report.rejected] == [
+            "amount_eur '-1500.00' is negative",
+            "amount_eur '12,5' is not a decimal number",
+        ]
+
     def test_rejected_rows_carry_line_numbers(self):
         text = contract_rows(GOOD_CONTRACT, "bad row", GOOD_CONTRACT)
         records, report = parse_contract_csv(text)

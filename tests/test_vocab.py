@@ -112,6 +112,23 @@ class TestVocabularyInvariants:
         with pytest.raises(ValueError):
             hierarchy_vocab([(C[0], C[1]), (C[1], C[2]), (C[2], C[0])])
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="subclass cycle"):
+            hierarchy_vocab([(C[3], C[0]), (C[0], C[0])])
+
+    def test_cycle_between_properties_rejected(self):
+        # SubClassOf may name properties; a cycle through them is still a cycle
+        p, q = C[0], C[1]
+        terms = {i: VocabTerm(i, TermKind.OBJECT_PROPERTY, "p", "a property") for i in (p, q)}
+        terms[C[2]] = make_class(C[2])
+        with pytest.raises(ValueError, match="subclass cycle"):
+            Vocabulary(terms=terms, constraints=(SubClassOf(C[2], p), SubClassOf(p, q), SubClassOf(q, p)))
+
+    def test_equality_and_repr_ignore_the_closure_map(self):
+        v = builtin_vocabulary()
+        assert v == builtin_vocabulary()
+        assert "_closures" not in repr(v)
+
     def test_disjointness_needs_two(self):
         with pytest.raises(ValueError):
             Disjointness(frozenset({C[0]}))
@@ -168,6 +185,18 @@ class TestSubclassClosure:
             raw = v.subclass_edges()
             for node in nodes:
                 assert subclass_closure(v, node) == reachable(raw, node)
+
+    def test_returns_a_fresh_set(self):
+        v = hierarchy_vocab([(C[0], C[1])])
+        subclass_closure(v, C[0]).add(C[5])
+        assert subclass_closure(v, C[0]) == {C[0], C[1]}
+
+    def test_class_below_a_property_reaches_it(self):
+        prop = VocabTerm(C[1], TermKind.OBJECT_PROPERTY, "p", "a property")
+        v = Vocabulary(terms={C[0]: make_class(C[0]), C[1]: prop}, constraints=(SubClassOf(C[0], C[1]),))
+        assert subclass_closure(v, C[0]) == {C[0], C[1]}
+        with pytest.raises(UnknownClassError):
+            subclass_closure(v, C[1])
 
     def test_monotone_under_new_edges(self):
         v1 = hierarchy_vocab([(C[0], C[1])], extra=[C[2]])
