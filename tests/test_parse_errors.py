@@ -1,0 +1,83 @@
+"""Every ParseError message, line and column is pinned on seeded mutations.
+
+The cases mutate one document that uses every construct of the Turtle
+subset (``fixtures/parse_errors.ttl``): a truncation at every offset
+(so at every token boundary), the deletion of each occurrence of a
+syntax character, and the insertion of each syntax character at a
+seeded sample of offsets. ``fixtures/parse_errors.json`` records, per
+case, either the exact error or a digest of the graph parsed. It was
+recorded from the token-generator parser, before the single-loop
+rewrite, and is regenerated only when a message is changed on purpose:
+
+    PYTHONPATH=src python tests/test_parse_errors.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from trokit import ParseError, parse_turtle
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DOCUMENT = (FIXTURES / "parse_errors.ttl").read_text(encoding="utf-8")
+RECORDED = FIXTURES / "parse_errors.json"
+SYNTAX = [".", ";", ",", "^", "@", '"', "<", ">", ":", "_", "#", "\\", "\n"]
+SEED = 20261018
+INSERTIONS_PER_CHARACTER = 120
+
+
+def cases(text: str = DOCUMENT) -> dict[str, str]:
+    """Case id -> mutated text, in a fixed order."""
+    rng = random.Random(SEED)
+    out = {f"truncate {i}": text[:i] for i in range(len(text) + 1)}
+    for ch in SYNTAX:
+        for i in (i for i, c in enumerate(text) if c == ch):
+            out[f"delete {ch!r} {i}"] = text[:i] + text[i + 1 :]
+        for i in sorted(rng.sample(range(len(text) + 1), INSERTIONS_PER_CHARACTER)):
+            out[f"insert {ch!r} {i}"] = text[:i] + ch + text[i:]
+    return out
+
+
+def outcome(text: str) -> list:
+    """["error", message, line, column], or ["graph", triples, digest of the sorted N-Triples lines]."""
+    try:
+        graph = parse_turtle(text)
+    except ParseError as exc:
+        return ["error", exc.message, exc.line, exc.col]
+    lines = sorted(f"{s.n3()} {p.n3()} {o.n3()} ." for s, po in graph._spo.items() for p, os in po.items() for o in os)
+    return ["graph", len(graph), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]]
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict[str, list]:
+    return json.loads(RECORDED.read_text(encoding="utf-8"))
+
+
+def test_the_cases_are_the_recorded_ones(expected):
+    assert len(CASES) >= 2000
+    assert list(CASES) == list(expected)
+    kinds = {o[0] for o in expected.values()}
+    assert kinds == {"error", "graph"}
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_each_mutation_parses_or_raises_the_recorded_error(chunk, expected):
+    # any exception but ParseError escapes and fails the test
+    ids = list(CASES)[chunk::8]
+    found = {case: outcome(CASES[case]) for case in ids}
+    assert {case: o for case, o in found.items() if o != expected[case]} == {}
+
+
+if __name__ == "__main__":
+    lines = [f"{json.dumps(case)}: {json.dumps(outcome(text), ensure_ascii=False)}" for case, text in CASES.items()]
+    RECORDED.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"recorded {len(CASES)} cases to {RECORDED}", file=sys.stderr)
