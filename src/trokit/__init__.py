@@ -17,6 +17,7 @@ from .ingest import (
     CONTRACT_HEADER,
     ROLE_HEADER,
     ContractRecord,
+    CsvSyntaxError,
     HeaderMismatchError,
     IngestReport,
     RoleEvidenceRecord,
@@ -69,6 +70,7 @@ __all__ = [
     "BlankNode",
     "CONTRACT_HEADER",
     "ContractRecord",
+    "CsvSyntaxError",
     "DUAL_ROLE",
     "Disjointness",
     "EmptySlugError",

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .coi import detect_conflicts, findings_to_json
 from .ingest import (
+    CsvSyntaxError,
     HeaderMismatchError,
     IngestReport,
     build_graph,
@@ -91,10 +92,17 @@ def _print_ingest_report(label: str, report: IngestReport, out) -> None:
         print(f"  row {row.line}: {row.reason}", file=out)
 
 
+def _read_csv(path: str, parse):
+    try:
+        return parse(_read(path))
+    except CsvSyntaxError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
     cfg = MintConfig(Iri(args.base))
-    contracts, contract_report = parse_contract_csv(_read(args.contracts))
-    roles, role_report = parse_role_csv(_read(args.roles))
+    contracts, contract_report = _read_csv(args.contracts, parse_contract_csv)
+    roles, role_report = _read_csv(args.roles, parse_role_csv)
     graph = build_graph(contracts, roles, cfg)
     _write(args.out, serialize_turtle(graph))
     _print_ingest_report("contracts", contract_report, out)

@@ -7,12 +7,16 @@ in a fixed order and builds the record from the values they parsed.
 The first failing check gives a rejected row its one reason in the
 IngestReport, and the remaining rows proceed. The checks include that
 every name the row will mint an IRI from survives slug folding, so
-record-to-triple conversion cannot fail later.
+record-to-triple conversion cannot fail later. One body per schema
+gives a record's (s, p, o) tuples: build_graph adds them through
+Graph._add, with no Triple, and contract_to_triples and role_to_triples
+wrap them as sets of Triple.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from dataclasses import dataclass
@@ -70,6 +74,10 @@ class HeaderMismatchError(ValueError):
         self.actual = actual
 
 
+class CsvSyntaxError(ValueError):
+    """A line the csv module cannot read, such as a field over its size limit; the message names it."""
+
+
 @dataclass(frozen=True, slots=True)
 class ContractRecord:
     contract_id: str
@@ -120,19 +128,22 @@ def _parse(text: str, header: list[str], record) -> tuple[list, IngestReport]:
     """Each non-blank row, as ``record(*row)`` or as the reason it was rejected."""
     # Excel's "CSV UTF-8" export starts with a byte order mark
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    if (actual := next(reader, None)) != header:
-        raise HeaderMismatchError(header, actual)
     records = []
     rejected: list[RejectedRow] = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            if len(row) != len(header):
-                raise _Rejected(f"expected {len(header)} fields, got {len(row)}")
-            records.append(record(*row))
-        except _Rejected as exc:
-            rejected.append(RejectedRow(reader.line_num, exc.args[0]))
+    try:
+        if (actual := next(reader, None)) != header:
+            raise HeaderMismatchError(header, actual)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise _Rejected(f"expected {len(header)} fields, got {len(row)}")
+                records.append(record(*row))
+            except _Rejected as exc:
+                rejected.append(RejectedRow(reader.line_num, exc.args[0]))
+    except csv.Error as exc:  # csv.field_size_limit() is process-wide, so it is not raised here
+        raise CsvSyntaxError(f"line {reader.line_num}: {exc}") from None
     return records, IngestReport(len(records), tuple(rejected))
 
 
@@ -209,74 +220,73 @@ def parse_role_csv(text: str) -> tuple[list[RoleEvidenceRecord], IngestReport]:
     return _parse(text, ROLE_HEADER, _role_record)
 
 
-def _org_triples(cfg: MintConfig, name: str) -> tuple[Iri, set[Triple]]:
-    org = mint_entity_iri(cfg, "org", name)
-    return org, {
-        Triple(org, RDF_TYPE, GIST.Organization),
-        Triple(org, SCHEMA.name, Literal(name)),
-    }
-
-
-def contract_to_triples(record: ContractRecord, cfg: MintConfig) -> set[Triple]:
-    contract = mint_entity_iri(cfg, "contract", record.contract_id)
-    by_org, triples = _org_triples(cfg, record.awarding_org)
-    to_org, to_triples = _org_triples(cfg, record.awarded_org)
-    triples |= to_triples
-    evidence = mint_entity_iri(cfg, "evidence", record.source_url)
-    triples |= {
-        Triple(contract, RDF_TYPE, EPO.Contract),
-        Triple(contract, DCTERMS.title, Literal(record.title)),
-        Triple(contract, EPO.awardDate, Literal(record.award_date.isoformat(), XSD_DATE)),
-        Triple(contract, GR.amount, Literal(record.amount, XSD_DECIMAL)),
-        Triple(contract, EPO.awardedBy, by_org),
-        Triple(contract, EPO.awardedTo, to_org),
-        Triple(contract, TRO.hasEvidence, evidence),
-        Triple(evidence, RDF_TYPE, TRO.Evidence),
-        Triple(evidence, TRO.evidenceURL, Literal(record.source_url, XSD_ANY_URI)),
-    }
-    return triples
-
-
-def _evidence_key(record: RoleEvidenceRecord) -> str:
-    # one evidence node per source row: rows collapse only when every
-    # evidence field matches, not merely the URL
-    return " ".join(
-        (
-            record.evidence_url,
-            record.evidence_title,
-            record.publisher,
-            record.evidence_date.isoformat(),
-        )
+def _contract_triples(record: ContractRecord, iri, literal) -> tuple[tuple, ...]:
+    """The record's (s, p, o) triples; iri(kind, key) mints an entity, literal(lexical, datatype) builds one."""
+    contract = iri("contract", record.contract_id)
+    by_org = iri("org", record.awarding_org)
+    to_org = iri("org", record.awarded_org)
+    evidence = iri("evidence", record.source_url)
+    return (
+        (by_org, RDF_TYPE, GIST.Organization),
+        (by_org, SCHEMA.name, literal(record.awarding_org)),
+        (to_org, RDF_TYPE, GIST.Organization),
+        (to_org, SCHEMA.name, literal(record.awarded_org)),
+        (contract, RDF_TYPE, EPO.Contract),
+        (contract, DCTERMS.title, literal(record.title)),
+        (contract, EPO.awardDate, literal(record.award_date.isoformat(), XSD_DATE)),
+        (contract, GR.amount, literal(record.amount, XSD_DECIMAL)),
+        (contract, EPO.awardedBy, by_org),
+        (contract, EPO.awardedTo, to_org),
+        (contract, TRO.hasEvidence, evidence),
+        (evidence, RDF_TYPE, TRO.Evidence),
+        (evidence, TRO.evidenceURL, literal(record.source_url, XSD_ANY_URI)),
     )
 
 
-def role_to_triples(record: RoleEvidenceRecord, cfg: MintConfig) -> set[Triple]:
-    person = mint_entity_iri(cfg, "person", record.person_name)
+def _role_triples(record: RoleEvidenceRecord, cfg: MintConfig, iri, literal) -> tuple[tuple, ...]:
+    """As _contract_triples; the role IRI is minted from cfg, since no two rows share one."""
+    person = iri("person", record.person_name)
     role = mint_role_iri(cfg, record.person_name, record.role_type, record.start, record.end, record.org)
-    org, triples = _org_triples(cfg, record.org)
-    evidence = mint_entity_iri(cfg, "evidence", _evidence_key(record))
-    triples |= {
-        Triple(person, RDF_TYPE, SCHEMA.Person),
-        Triple(person, SCHEMA.name, Literal(record.person_name)),
-        Triple(role, RDF_TYPE, TRO.Role),
-        Triple(role, TRO.roleOf, person),
-        Triple(role, TRO.roleIn, org),
-        Triple(role, TRO.startDate, Literal(record.start.isoformat(), XSD_DATE)),
-        Triple(role, TRO.hasEvidence, evidence),
-        Triple(evidence, RDF_TYPE, TRO.Evidence),
-        Triple(evidence, TRO.evidenceURL, Literal(record.evidence_url, XSD_ANY_URI)),
-        Triple(evidence, DCTERMS.title, Literal(record.evidence_title)),
-        Triple(evidence, DC.date, Literal(record.evidence_date.isoformat(), XSD_DATE)),
-        Triple(evidence, SCHEMA.publisher, Literal(record.publisher)),
-    }
+    org = iri("org", record.org)
+    # one evidence node per source row: rows collapse only when every
+    # evidence field matches, not merely the URL
+    evidence_date = record.evidence_date.isoformat()
+    evidence = iri("evidence", " ".join((record.evidence_url, record.evidence_title, record.publisher, evidence_date)))
+    triples = (
+        (org, RDF_TYPE, GIST.Organization),
+        (org, SCHEMA.name, literal(record.org)),
+        (person, RDF_TYPE, SCHEMA.Person),
+        (person, SCHEMA.name, literal(record.person_name)),
+        (role, RDF_TYPE, TRO.Role),
+        (role, TRO.roleOf, person),
+        (role, TRO.roleIn, org),
+        (role, TRO.startDate, literal(record.start.isoformat(), XSD_DATE)),
+        (role, TRO.hasEvidence, evidence),
+        (evidence, RDF_TYPE, TRO.Evidence),
+        (evidence, TRO.evidenceURL, literal(record.evidence_url, XSD_ANY_URI)),
+        (evidence, DCTERMS.title, literal(record.evidence_title)),
+        (evidence, DC.date, literal(evidence_date, XSD_DATE)),
+        (evidence, SCHEMA.publisher, literal(record.publisher)),
+    )
     if record.end is not None:
-        triples.add(Triple(role, TRO.endDate, Literal(record.end.isoformat(), XSD_DATE)))
+        triples += ((role, TRO.endDate, literal(record.end.isoformat(), XSD_DATE)),)
     if record.relation is not None:
-        related, related_triples = _org_triples(cfg, record.related_org)
+        related = iri("org", record.related_org)
         prop = TRO.ownerOf if record.relation == "owner" else TRO.affiliatedWith
-        triples |= related_triples
-        triples.add(Triple(person, prop, related))
+        triples += (
+            (related, RDF_TYPE, GIST.Organization),
+            (related, SCHEMA.name, literal(record.related_org)),
+            (person, prop, related),
+        )
     return triples
+
+
+def contract_to_triples(record: ContractRecord, cfg: MintConfig) -> set[Triple]:
+    return {Triple(*t) for t in _contract_triples(record, functools.partial(mint_entity_iri, cfg), Literal)}
+
+
+def role_to_triples(record: RoleEvidenceRecord, cfg: MintConfig) -> set[Triple]:
+    return {Triple(*t) for t in _role_triples(record, cfg, functools.partial(mint_entity_iri, cfg), Literal)}
 
 
 def build_graph(
@@ -284,10 +294,18 @@ def build_graph(
     roles: list[RoleEvidenceRecord],
     cfg: MintConfig = MintConfig(),
 ) -> Graph:
-    """Union of all record triples under the default prefix map."""
+    """Union of all record triples under the default prefix map.
+
+    Each entity IRI is minted, and each literal built, once per call.
+    """
     graph = Graph(default_prefixes())
+    add = graph._add
+    iri = functools.cache(functools.partial(mint_entity_iri, cfg))  # this call's memos
+    literal = functools.cache(Literal)
     for contract in contracts:
-        graph.update(contract_to_triples(contract, cfg))
+        for s, p, o in _contract_triples(contract, iri, literal):
+            add(s, p, o)
     for role in roles:
-        graph.update(role_to_triples(role, cfg))
+        for s, p, o in _role_triples(role, cfg, iri, literal):
+            add(s, p, o)
     return graph

@@ -13,8 +13,6 @@ from .rdf_core import Iri
 class Namespace:
     """A factory for IRIs sharing a common base; each name's IRI is built once."""
 
-    __slots__ = ("_base", "_cache")
-
     def __init__(self, base: str) -> None:
         self._base = base
         self._cache: dict[str, Iri] = {}
@@ -35,7 +33,9 @@ class Namespace:
     def __getattr__(self, name: str) -> Iri:
         if name.startswith("_"):
             raise AttributeError(name)
-        return self[name]
+        iri = self[name]
+        setattr(self, name, iri)  # so later reads of the name are plain attribute lookups
+        return iri
 
     def __repr__(self) -> str:
         return f"Namespace({self._base!r})"

@@ -7,6 +7,8 @@ nodes have no stable canonical name and are rejected.
 
 from __future__ import annotations
 
+import itertools
+
 from .graph import Graph
 from .model import BlankNode
 
@@ -17,7 +19,7 @@ def canonical_ntriples(graph: Graph) -> str:
     Raises ValueError if the graph contains a blank node.
     """
     pos_objects = (o for by_object in graph._pos.values() for o in by_object)
-    if any(isinstance(term, BlankNode) for term in (*graph._spo, *pos_objects)):
+    if any(isinstance(term, BlankNode) for term in itertools.chain(graph._spo, pos_objects)):
         raise ValueError("graph contains blank nodes, which have no canonical N-Triples form")
     lines = [
         f"{subject.n3()} {predicate.n3()} {obj.n3()} ."

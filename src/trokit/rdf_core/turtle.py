@@ -10,21 +10,24 @@ construct): collections, anonymous blank node property lists ``[]``,
 base directives and relative IRIs, boolean and double shorthand,
 single-quoted strings.
 
-The tokenizer is one compiled pattern, ``_TOKEN_RE``, matched at
-successive offsets: each match consumes the whitespace and comments
-before a token and then the token, named by its group. Tokens are
-``(kind, value, offset)`` tuples that the parser pulls one at a time,
-so the token stream is never held in memory. Where the pattern does not
-match, ``_diagnose`` inspects the text there and raises the error.
-Positions are worked out from the offset only when a ``ParseError`` is
-raised: lines end at ``\n`` and columns count code points from 1.
+The parser is one loop over ``_TOKEN_RE.finditer(text)``: each match
+consumes the whitespace and comments before a token and then the token,
+named by its group, and a state says what the grammar accepts next, so
+no token is held once it is used. The pattern's last alternative,
+``error``, is empty: where no token lexes, it matches, so every match
+starts where the previous one ended, and ``_diagnose`` inspects the text
+there and raises the error. The grammar reads one token ahead, so a
+token's lexical error is reported before an error that the token before
+it raises once consumed (``_late``). Positions are worked out from the
+offset only when a ``ParseError`` is raised: lines end at ``\n`` and
+columns count code points from 1.
 Escapes must name a Unicode scalar value; a surrogate or a code point
 above U+10FFFF is a parse error at its backslash; a raw lone surrogate
 is one where it stands in a string, and at the ``<`` of an IRI.
-Each parse memoises its terms by text (IRIREF body or prefixed-name
-expansion; lexical, datatype, language), so a distinct term is validated
-once and a repeated one is one object; the memo dies with the parse.
-Triples go in through ``Graph._add``, with no ``Triple``.
+Each parse memoises terms by text (IRIREF body or prefixed-name expansion;
+lexical, datatype, language) and IRI tokens until a prefix is bound: a
+term is validated once, a repeated one is one object, and the memos die
+with the parse. Triples go in through ``Graph._add``, with no ``Triple``.
 
 The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import NoReturn
 
 from .graph import Graph
@@ -65,8 +68,6 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
 
-
-_Token = tuple[str, object, int]
 
 _HEX = "[0-9A-Fa-f]"
 # \u and \U escapes of Unicode scalar values only: no surrogates, nothing above U+10FFFF
@@ -109,6 +110,7 @@ _TOKEN_RE = re.compile(
             r"(?P<blank>_:[A-Za-z0-9_]+)",
             rf"(?P<prefix>(?i:prefix){_WORD_END})",
             r"(?P<eof>\Z)",
+            r"(?P<error>)",  # nothing else lexes here: every match starts where the last one ended
         ]
     )
     + ")"
@@ -135,58 +137,6 @@ def _unescape(m: re.Match) -> str:
 def _error(text: str, offset: int, message: str) -> ParseError:
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
-
-
-def _iri(text: str, start: int, body: str, terms: dict) -> Iri:
-    """The Iri of an IRIREF body, or of a prefixed name's expansion (no backslash, so its own body)."""
-    iri = terms.get(body)
-    if iri is None:
-        try:
-            iri = terms[body] = Iri(_ESCAPE_RE.sub(_unescape, body) if "\\" in body else body)
-        except ValueError as exc:
-            raise _error(text, start, str(exc)) from None
-    return iri
-
-
-def _tokens(text: str, terms: dict) -> Iterator[_Token]:
-    """Yield the tokens of text, ending with ("eof", "", len(text)); IRIREFs go through terms."""
-    match = _TOKEN_RE.match
-    pos = 0
-    last = ""
-    while True:
-        m = match(text, pos)
-        if m is None:
-            _diagnose(text, pos)
-        kind = m.lastgroup
-        value = m.group(kind)
-        start = m.start(kind)
-        pos = m.end()
-        if kind == "pname":
-            prefix, _, local = value.partition(":")
-            value = (prefix, local)
-        elif kind == "string" or kind == "long":
-            value = value[1:-1] if kind == "string" else value[3:-3]
-            kind = "string"
-            if "\\" in value:
-                value = _ESCAPE_RE.sub(_unescape, value)
-        elif kind == "iriref":
-            value = _iri(text, start, value[1:-1], terms)
-        elif kind == "at":
-            # '@' right after a string is a language tag, anywhere else a directive
-            if last == "string":
-                kind, value = "langtag", value[1:]
-                if not _LANG_TAG_RE.match(value):
-                    raise _error(text, start, f"malformed language tag '@{value}'")
-            elif value == "@prefix" and not text.startswith("_", pos):
-                kind = "prefix"
-            else:
-                _diagnose(text, start)
-        elif kind == "blank":
-            value = BlankNode(value[2:])
-        yield kind, value, start
-        if kind == "eof":
-            return
-        last = kind
 
 
 _PN_PREFIX_RE = re.compile(_PN_PREFIX)
@@ -269,7 +219,6 @@ _DESCRIBE = {
     "pname": "prefixed name",
     "blank": "blank node",
     "string": "string literal",
-    "langtag": "language tag",
     "integer": "integer literal",
     "decimal": "decimal literal",
     "dot": "'.'",
@@ -282,141 +231,182 @@ _DESCRIBE = {
 }
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._terms: dict = {}  # IRI text -> Iri (see _iri), (lexical, datatype, language) -> Literal
-        self._tokens = _tokens(text, self._terms)
-        self._tok = next(self._tokens)
+def _lexed(text: str, m: re.Match, after_string: bool) -> str:
+    """The kind token m lexes as ('langtag' for '@' after a string); raise its lexical error."""
+    kind = m.lastgroup
+    start = m.start(kind)
+    if kind == "error":
+        _diagnose(text, start)
+    if kind == "iriref":
+        _named(text, m, {}, {}, {})
+    elif kind == "long":
+        return "string"
+    elif kind == "at":
+        # '@' right after a string is a language tag, anywhere else a directive
+        if after_string:
+            if not _LANG_TAG_RE.match(m.group(kind)[1:]):
+                raise _error(text, start, f"malformed language tag '{m.group(kind)}'")
+            return "langtag"
+        if m.group(kind) != "@prefix" or text.startswith("_", m.end()):
+            _diagnose(text, start)
+        return "prefix"
+    return kind
 
-    def _next(self) -> _Token:
-        tok = self._tok
-        if tok[0] != "eof":
-            self._tok = next(self._tokens)
-        return tok
 
-    def _error(self, message: str, tok: _Token) -> ParseError:
-        return _error(self._text, tok[2], message)
+def _late(text: str, m: re.Match, message: str) -> NoReturn:
+    """Raise message at token m, after any lexical error of the next token: the grammar reads one ahead."""
+    kind = m.lastgroup
+    _lexed(text, _TOKEN_RE.match(text, m.end()), kind == "string" or kind == "long")  # at the end: eof again
+    raise _error(text, m.start(kind), message)
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._tok
-        if tok[0] != kind:
-            raise self._error(f"expected {what}, found {_DESCRIBE[tok[0]]}", tok)
-        return self._next()
 
-    def parse(self) -> Graph:
-        graph = Graph()
-        while self._tok[0] != "eof":
-            if self._tok[0] == "prefix":
-                self._directive(graph)
-            else:
-                self._triples(graph)
-        return graph
+def _expected(text: str, m: re.Match, what: str, late: bool = True) -> NoReturn:
+    """Raise 'expected what, found ...' at token m, after its own lexical error; late once m is consumed."""
+    message = f"expected {what}, found {_DESCRIBE[_lexed(text, m, False)]}"
+    if late:
+        _late(text, m, message)
+    raise _error(text, m.start(m.lastgroup), message)
 
-    def _directive(self, graph: Graph) -> None:
-        form = self._next()[1]
-        name = self._expect("pname", "prefix declaration")
-        prefix, local = name[1]
-        if local:
-            raise self._error("expected prefix declaration like 'p:'", name)
-        ns = self._expect("iriref", "namespace IRI")[1]
-        if form == "@prefix":
-            self._expect("dot", "'.' after @prefix directive")
-        graph.prefixes[prefix] = ns
 
-    def _triples(self, graph: Graph) -> None:
-        subject = self._subject(graph)
-        while True:
-            verb = self._verb(graph)
-            self._object_list(graph, subject, verb)
-            if self._tok[0] != "semicolon":
-                break
-            while self._tok[0] == "semicolon":
-                self._next()
-            if self._tok[0] in ("dot", "eof"):
-                break
-        self._expect("dot", "'.' at end of statement")
-
-    def _object_list(self, graph: Graph, subject: Iri | BlankNode, verb: Iri) -> None:
-        while True:
-            graph._add(subject, verb, self._object(graph))
-            if self._tok[0] != "comma":
-                return
-            self._next()
-
-    def _resolve(self, graph: Graph, tok: _Token) -> Iri:
-        prefix, local = tok[1]
-        ns = graph.prefixes.get(prefix)
+def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names: dict) -> Iri:
+    """The Iri of an IRIREF or prefixed-name token, memoised in terms by IRIREF body or expansion."""
+    kind = m.lastgroup
+    if kind == "iriref":
+        body = m.group(kind)[1:-1]
+    else:  # an expansion holds no backslash, so it is its own IRIREF body
+        prefix, _, local = m.group(kind).partition(":")
+        ns = prefixes.get(prefix)
         if ns is None:
-            raise self._error(f"undeclared prefix '{prefix}:'", tok)
-        return _iri(self._text, tok[2], ns.value + local, self._terms)
+            _late(text, m, f"undeclared prefix '{prefix}:'")
+        body = ns.value + local
+    iri = terms.get(body)
+    if iri is None:
+        try:
+            iri = terms[body] = Iri(_ESCAPE_RE.sub(_unescape, body) if "\\" in body else body)
+        except ValueError as exc:
+            if kind == "pname":  # a name is resolved once the token after it has lexed
+                _late(text, m, str(exc))
+            raise _error(text, m.start(kind), str(exc)) from None
+    names[m.group(kind)] = iri
+    return iri
 
-    def _literal(self, lexical: str, datatype: Iri = XSD_STRING, language: str | None = None) -> Literal:
-        key = (lexical, datatype, language)
-        lit = self._terms.get(key)
-        if lit is None:
-            lit = self._terms[key] = Literal(lexical, datatype, language)
-        return lit
 
-    def _subject(self, graph: Graph) -> Iri | BlankNode:
-        tok = self._next()
-        kind = tok[0]
-        if kind == "iriref" or kind == "blank":
-            return tok[1]
-        if kind == "pname":
-            return self._resolve(graph, tok)
-        raise self._error(f"expected subject (IRI or blank node), found {_DESCRIBE[kind]}", tok)
+def _literal(text: str, m: re.Match, key: tuple[str, Iri, str | None], terms: dict) -> Literal:
+    """The Literal of (lexical, datatype, language), whose last token is m."""
+    lit = terms.get(key)
+    if lit is None:
+        try:
+            lit = terms[key] = Literal(*key)
+        except ValueError as exc:
+            _late(text, m, str(exc))
+    return lit
 
-    def _verb(self, graph: Graph) -> Iri:
-        tok = self._next()
-        kind = tok[0]
-        if kind == "pname":
-            return self._resolve(graph, tok)
-        if kind == "a":
-            return RDF_TYPE
-        if kind == "iriref":
-            return tok[1]
-        raise self._error(f"expected predicate IRI, found {_DESCRIBE[kind]}", tok)
 
-    def _object(self, graph: Graph) -> Term:
-        tok = self._next()
-        kind = tok[0]
-        if kind == "pname":
-            return self._resolve(graph, tok)
-        if kind == "string":
-            return self._literal_tail(graph, tok)
-        if kind == "iriref" or kind == "blank":
-            return tok[1]
-        if kind == "integer":
-            return self._literal(tok[1], XSD_INTEGER)
-        if kind == "decimal":
-            return self._literal(tok[1], XSD_DECIMAL)
-        raise self._error(f"expected object (IRI, blank node or literal), found {_DESCRIBE[kind]}", tok)
-
-    def _literal_tail(self, graph: Graph, tok: _Token) -> Literal:
-        nxt = self._tok
-        if nxt[0] == "datatype":
-            self._next()
-            dt_tok = self._next()
-            if dt_tok[0] == "iriref":
-                dt = dt_tok[1]
-            elif dt_tok[0] == "pname":
-                dt = self._resolve(graph, dt_tok)
-            else:
-                raise self._error(f"expected datatype IRI, found {_DESCRIBE[dt_tok[0]]}", dt_tok)
-            try:
-                return self._literal(tok[1], dt)
-            except ValueError as exc:
-                raise self._error(str(exc), dt_tok) from None
-        if nxt[0] == "langtag":  # the lexer has checked the tag
-            self._next()
-            return self._literal(tok[1], language=nxt[1])
-        return self._literal(tok[1])
+# what the grammar accepts next
+(_SUBJECT, _VERB, _OBJECT, _AFTER_STRING, _DATATYPE, _AFTER_OBJECT, _SEMICOLONS,
+ _NAME, _NAMESPACE, _DIRECTIVE_DOT) = range(10)
 
 
 def parse_turtle(text: str) -> Graph:
     """Parse the Turtle subset; raise ParseError with line and column."""
-    return _Parser(text).parse()
+    graph = Graph()
+    add, prefixes = graph._add, graph.prefixes
+    terms: dict = {}  # IRI text -> Iri (see _named), (lexical, datatype, language) -> Literal
+    names: dict[str, Iri] = {}  # IRIREF or prefixed-name token -> Iri, until a prefix is bound
+    state = _SUBJECT
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if state == _AFTER_STRING:
+            if kind == "datatype":
+                state = _DATATYPE
+                continue
+            language = m.group(kind)[1:] if kind == "at" and _lexed(text, m, True) else None  # _lexed checks the tag
+            add(subject, verb, _literal(text, m, (lexical, XSD_STRING, language), terms))
+            state = _AFTER_OBJECT
+            if language is not None:
+                continue
+        if state == _AFTER_OBJECT:
+            if kind == "semicolon":
+                state = _SEMICOLONS
+            elif kind == "dot":
+                state = _SUBJECT
+            elif kind == "comma":
+                state = _OBJECT
+            else:
+                _expected(text, m, "'.' at end of statement", late=False)
+            continue
+        if state == _SEMICOLONS:
+            if kind == "semicolon":
+                continue
+            if kind == "eof":
+                _expected(text, m, "'.' at end of statement", late=False)
+            if kind == "dot":
+                state = _SUBJECT
+                continue
+            state = _VERB
+        if state == _VERB:
+            if kind == "pname" or kind == "iriref":
+                verb = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
+            elif kind == "a":
+                verb = RDF_TYPE
+            else:
+                _expected(text, m, "predicate IRI")
+            state = _OBJECT
+        elif state == _OBJECT:
+            state = _AFTER_OBJECT
+            if kind == "pname" or kind == "iriref":
+                obj = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
+            elif kind == "string" or kind == "long":
+                lexical = m.group(kind)[1:-1] if kind == "string" else m.group(kind)[3:-3]
+                if "\\" in lexical:
+                    lexical = _ESCAPE_RE.sub(_unescape, lexical)
+                state = _AFTER_STRING
+                continue
+            elif kind == "blank":
+                obj = BlankNode(m.group(kind)[2:])
+            elif kind == "decimal" or kind == "integer":
+                obj = _literal(text, m, (m.group(kind), XSD_DECIMAL if kind == "decimal" else XSD_INTEGER, None), terms)
+            else:
+                _expected(text, m, "object (IRI, blank node or literal)")
+            add(subject, verb, obj)
+        elif state == _DATATYPE:
+            if kind == "pname" or kind == "iriref":
+                datatype = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
+            else:
+                _expected(text, m, "datatype IRI")
+            add(subject, verb, _literal(text, m, (lexical, datatype, None), terms))
+            state = _AFTER_OBJECT
+        elif state == _SUBJECT:
+            if kind == "pname" or kind == "iriref":
+                subject = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
+            elif kind == "blank":
+                subject = BlankNode(m.group(kind)[2:])
+            elif kind == "eof":
+                return graph
+            elif kind == "prefix" or (kind == "at" and _lexed(text, m, False)):
+                form = m.group(kind)
+                state = _NAME
+                continue
+            else:
+                _expected(text, m, "subject (IRI or blank node)")
+            state = _VERB
+        elif state == _NAME:
+            if kind != "pname":
+                _expected(text, m, "prefix declaration", late=False)
+            prefix, _, local = m.group(kind).partition(":")
+            if local:
+                _late(text, m, "expected prefix declaration like 'p:'")
+            state = _NAMESPACE
+        elif state == _NAMESPACE:
+            if kind != "iriref":
+                _expected(text, m, "namespace IRI", late=False)
+            prefixes[prefix] = _named(text, m, prefixes, terms, names)
+            names.clear()
+            state = _DIRECTIVE_DOT if form == "@prefix" else _SUBJECT
+        else:  # _DIRECTIVE_DOT
+            if kind != "dot":
+                _expected(text, m, "'.' after @prefix directive", late=False)
+            state = _SUBJECT
 
 
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")

@@ -125,6 +125,23 @@ class TestIngest:
         )
         assert code == 2 and "header mismatch" in err
 
+    def test_a_field_over_the_csv_size_limit_exits_two(self, pipeline_ttl):
+        lines = (FIXTURES / "contracts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", "," + "t" * 200_000, 1)
+        contracts = pipeline_ttl.parent / "huge.csv"
+        contracts.write_text("".join(lines), encoding="utf-8")
+        before = pipeline_ttl.read_bytes()
+        code, out, err = invoke(
+            "ingest",
+            "--contracts", str(contracts),
+            "--roles", str(pipeline_ttl.parent / "roles.csv"),
+            "--out", str(pipeline_ttl),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {contracts}: line 3: field larger than field limit (131072)\n"
+        assert "Traceback" not in err
+        assert pipeline_ttl.read_bytes() == before
+
 
 class TestValidate:
     def test_clean_graph(self, pipeline_ttl):

@@ -7,6 +7,7 @@ import pytest
 from trokit import (
     CONTRACT_HEADER,
     ROLE_HEADER,
+    CsvSyntaxError,
     HeaderMismatchError,
     Iri,
     Literal,
@@ -70,6 +71,16 @@ class TestHeaders:
     def test_header_only_is_fine(self):
         records, report = parse_contract_csv(",".join(CONTRACT_HEADER) + "\n")
         assert records == [] and report.total == 0
+
+    @pytest.mark.parametrize("parse, rows", [(parse_contract_csv, contract_rows), (parse_role_csv, role_rows)])
+    def test_a_field_over_the_csv_size_limit_is_a_located_error(self, parse, rows):
+        good = GOOD_CONTRACT if parse is parse_contract_csv else GOOD_ROLE
+        huge = good.replace(",", "," + "x" * 200_000, 1)
+        with pytest.raises(CsvSyntaxError) as exc:
+            parse(rows(good, huge, good))
+        assert str(exc.value) == "line 3: field larger than field limit (131072)"
+        with pytest.raises(CsvSyntaxError, match="^line 1: field larger"):
+            parse("x" * 200_000 + "\n" + good)
 
 
 class TestContractRows:
