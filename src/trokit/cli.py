@@ -95,7 +95,7 @@ def _print_ingest_report(label: str, report: IngestReport, out) -> None:
 def _read_csv(path: str, parse):
     try:
         return parse(_read(path))
-    except CsvSyntaxError as exc:
+    except (CsvSyntaxError, HeaderMismatchError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

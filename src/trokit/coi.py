@@ -71,10 +71,10 @@ class Finding:
         )
         return (
             self.pattern_id,
-            self.person.n3(),
-            self.contract.n3() if self.contract else "",
-            sorted(r.n3() for r in self.role_iris),
-            sorted(o.n3() for o in self.organizations),
+            self.person,
+            self.contract or "",
+            sorted(self.role_iris),
+            sorted(self.organizations),
             overlap_key,
         )
 

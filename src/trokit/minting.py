@@ -38,7 +38,7 @@ class MintConfig:
 
     def __post_init__(self) -> None:
         if not self.base.value.endswith("/"):
-            raise ValueError(f"mint base must end with '/': {self.base}")
+            raise ValueError(f"mint base must end with '/': {self.base.value}")
 
 
 def normalize_name(raw: str) -> str:

@@ -4,9 +4,9 @@ A pattern with a bound subject is answered from ``_spo``, one with a
 bound predicate from ``_pos``. Object-bound patterns have no index of
 their own: ``(s, ?, o)`` walks the predicates of ``_spo[s]`` and
 ``(?, ?, o)`` probes ``_pos[p][o]`` once per distinct predicate; neither
-scans the triple set. Results are sorted by the canonical form of
-subject, predicate, object, so their order is deterministic;
-``subjects``, ``objects`` and ``value`` read one index column.
+scans the triple set. Terms sort as strings, by their N-Triples text, and
+results are sorted by subject, predicate, object, so their order is
+deterministic; ``subjects``, ``objects`` and ``value`` read one index column.
 
 trokit's own modules (coi, validate, turtle, ntriples) read the indexes
 directly: ``_spo[s][p]`` and ``_pos[p][o]`` are unsorted, non-empty
@@ -106,9 +106,8 @@ class Graph:
     ) -> list[Triple]:
         """All triples matching the pattern; None is a wildcard.
 
-        The result is a list sorted by the canonical forms of
-        (subject, predicate, object), so equal graphs always answer
-        equal patterns identically.
+        The result is a list sorted by (subject, predicate, object), so
+        equal graphs always answer equal patterns identically.
         """
         s, p, o = subject, predicate, object
         if s is not None and p is not None and o is not None:
@@ -162,13 +161,13 @@ class Graph:
 
 
 def _column(index: dict, a: Term | None, b: Term | None) -> list:
-    """The distinct members of index[a][b], sorted by n3(); None is a wildcard."""
+    """The distinct members of index[a][b], sorted; None is a wildcard."""
     inners = (index.get(a, {}),) if a is not None else index.values()
     if b is not None:
         found = {x for inner in inners for x in inner.get(b, ())}
     else:
         found = {x for inner in inners for leaf in inner.values() for x in leaf}
-    return sorted(found, key=lambda term: term.n3())
+    return sorted(found)
 
 
 __all__ = ["Graph", "BlankNode", "Iri", "Literal", "Term", "Triple"]

@@ -1,16 +1,15 @@
 """RDF terms and triples.
 
-Terms are immutable value objects: equality and hashing follow the
-canonical (N-Triples style) form returned by ``n3()``, so terms and
-triples can be used freely in sets and as dict keys. A hash is not
-cached, so hot paths (the Turtle parser) reuse one object per term.
+A term is a ``str`` holding its canonical N-Triples text (``<iri>``, ``_:label``,
+``"lexical"``, ``"lexical"@lang`` or ``"lexical"^^<datatype>``), so hashing (once
+per object), equality and ordering are ``str``'s; the forms start with ``<``,
+``_:`` and ``"``, so terms of two kinds are never equal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # Lone surrogates are no Unicode characters and cannot be written as UTF-8.
@@ -34,6 +33,9 @@ _ESCAPES = {chr(c): "\\u%04X" % c for c in (*range(0x20), 0x7F)} | {
     "\r": "\\r",
 }
 _NEEDS_ESCAPE_RE = re.compile(r'[\x00-\x1f"\\\x7f]')
+# any ECHAR or UCHAR (Turtle's set, a superset of the canonical one), undone by _unescape
+_ESCAPE_RE = re.compile(r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
+_UNESCAPES = {esc: char for char, esc in _ESCAPES.items() if len(esc) == 2} | {"\\'": "'"}
 
 
 def escape_literal(text: str) -> str:
@@ -41,26 +43,41 @@ def escape_literal(text: str) -> str:
     return _NEEDS_ESCAPE_RE.sub(lambda m: _ESCAPES[m[0]], text)
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """An absolute IRI."""
+def _unescape(text: str) -> str:
+    """The text with its escapes undone."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m[0]) or chr(int(m[0][2:], 16)), text) if "\\" in text else text
 
-    value: str
 
-    def __post_init__(self) -> None:
-        if not self.value:
-            raise ValueError("IRI must be non-empty")
-        bad = _BAD_IRI_CHAR_RE.search(self.value)
-        if bad:
-            raise ValueError(f"IRI contains disallowed character {bad.group()!r}: {self.value!r}")
-        if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI is not absolute (no scheme): {self.value!r}")
+class _Term(str):
+    """A term held as its canonical N-Triples text, and pickled as that text: the constructors take its parts."""
+
+    __slots__ = ()
 
     def n3(self) -> str:
-        return f"<{self.value}>"
+        return self
 
-    def __str__(self) -> str:
-        return self.value
+    def __reduce__(self):
+        return str.__new__, (type(self), str(self))
+
+
+class Iri(_Term):
+    """An absolute IRI, held as ``<value>``."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> Iri:
+        if not value:
+            raise ValueError("IRI must be non-empty")
+        bad = _BAD_IRI_CHAR_RE.search(value)
+        if bad:
+            raise ValueError(f"IRI contains disallowed character {bad.group()!r}: {value!r}")
+        if not _SCHEME_RE.match(value):
+            raise ValueError(f"IRI is not absolute (no scheme): {value!r}")
+        return str.__new__(cls, "<" + value + ">")
+
+    @property
+    def value(self) -> str:
+        return self[1:-1]
 
 
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
@@ -72,9 +89,8 @@ RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 RDF_LANG_STRING = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#langString")
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """An RDF literal.
+class Literal(_Term):
+    """An RDF literal, held as ``"escaped"``, ``"escaped"@lang`` or ``"escaped"^^<datatype>``.
 
     A language tag forces the datatype to ``rdf:langString``; with no
     datatype and no language the datatype defaults to ``xsd:string``.
@@ -82,53 +98,59 @@ class Literal:
     ``"1"`` and ``"01"`` are distinct even as ``xsd:integer``.
     """
 
-    lexical: str
-    datatype: Iri = XSD_STRING
-    language: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _SURROGATE_RE.search(self.lexical):
-            raise ValueError(f"literal contains a lone surrogate: {self.lexical!r}")
-        if self.language is not None:
-            if not _LANG_TAG_RE.match(self.language):
-                raise ValueError(f"malformed language tag: {self.language!r}")
-            if self.datatype not in (XSD_STRING, RDF_LANG_STRING):
+    def __new__(cls, lexical: str, datatype: Iri = XSD_STRING, language: str | None = None) -> Literal:
+        if _SURROGATE_RE.search(lexical):
+            raise ValueError(f"literal contains a lone surrogate: {lexical!r}")
+        return cls._escaped(escape_literal(lexical), datatype, language)
+
+    @classmethod
+    def _escaped(cls, escaped: str, datatype: Iri, language: str | None) -> Literal:
+        """The literal whose lexical form, written with canonical escapes, is ``escaped``."""
+        if language is not None:
+            if not _LANG_TAG_RE.match(language):
+                raise ValueError(f"malformed language tag: {language!r}")
+            if datatype not in (XSD_STRING, RDF_LANG_STRING):
                 raise ValueError("a language-tagged literal must have datatype rdf:langString")
-            object.__setattr__(self, "language", self.language.lower())
-            object.__setattr__(self, "datatype", RDF_LANG_STRING)
-        elif self.datatype == RDF_LANG_STRING:
+            return str.__new__(cls, '"' + escaped + '"@' + language.lower())
+        if datatype == RDF_LANG_STRING:
             raise ValueError("rdf:langString requires a language tag")
+        return str.__new__(cls, '"' + escaped + ('"' if datatype == XSD_STRING else '"^^' + datatype))
 
-    def n3(self) -> str:
-        quoted = f'"{escape_literal(self.lexical)}"'
-        if self.language is not None:
-            return f"{quoted}@{self.language}"
-        if self.datatype == XSD_STRING:
-            return quoted
-        return f"{quoted}^^{self.datatype.n3()}"
+    @property
+    def lexical(self) -> str:
+        return _unescape(self[1 : self.rindex('"')])  # the suffix holds no quote: IRIs and tags exclude it
 
-    def __str__(self) -> str:
-        return self.n3()
+    @property
+    def datatype(self) -> Iri:
+        suffix = self[self.rindex('"') + 1 :]
+        if not suffix:
+            return XSD_STRING
+        return RDF_LANG_STRING if suffix[0] == "@" else str.__new__(Iri, suffix[2:])
 
-
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    """A labelled blank node (labels restricted to [A-Za-z0-9_]+)."""
-
-    label: str
-
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.match(self.label):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
-
-    def n3(self) -> str:
-        return f"_:{self.label}"
-
-    def __str__(self) -> str:
-        return self.n3()
+    @property
+    def language(self) -> str | None:
+        suffix = self[self.rindex('"') + 1 :]
+        return suffix[1:] if suffix[:1] == "@" else None
 
 
-Term = Union[Iri, Literal, BlankNode]
+class BlankNode(_Term):
+    """A labelled blank node (labels restricted to [A-Za-z0-9_]+), held as ``_:label``."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str) -> BlankNode:
+        if not _BLANK_LABEL_RE.match(label):
+            raise ValueError(f"invalid blank node label: {label!r}")
+        return str.__new__(cls, "_:" + label)
+
+    @property
+    def label(self) -> str:
+        return self[2:]
+
+
+Term = Iri | Literal | BlankNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +174,7 @@ class Triple:
             raise ValueError("triple object must be an IRI, literal or blank node")
 
     def n3(self) -> str:
-        return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
+        return self.subject + " " + self.predicate + " " + self.object + " ."
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (self.subject.n3(), self.predicate.n3(), self.object.n3())
+        return (self.subject, self.predicate, self.object)

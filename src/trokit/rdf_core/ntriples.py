@@ -21,12 +21,11 @@ def canonical_ntriples(graph: Graph) -> str:
     pos_objects = (o for by_object in graph._pos.values() for o in by_object)
     if any(isinstance(term, BlankNode) for term in itertools.chain(graph._spo, pos_objects)):
         raise ValueError("graph contains blank nodes, which have no canonical N-Triples form")
-    lines = [
-        f"{subject.n3()} {predicate.n3()} {obj.n3()} ."
+    # code-point order is UTF-8 byte order, as terms hold no surrogates
+    lines = sorted(
+        subject + " " + predicate + " " + obj + " .\n"
         for subject, po in graph._spo.items()
         for predicate, objects in po.items()
         for obj in objects
-    ]
-    # code-point order is UTF-8 byte order, as terms hold no surrogates
-    lines.sort()
-    return "".join(line + "\n" for line in lines)
+    )
+    return "".join(lines)

@@ -25,7 +25,7 @@ Escapes must name a Unicode scalar value; a surrogate or a code point
 above U+10FFFF is a parse error at its backslash; a raw lone surrogate
 is one where it stands in a string, and at the ``<`` of an IRI.
 Each parse memoises terms by text (IRIREF body or prefixed-name expansion;
-lexical, datatype, language) and IRI tokens until a prefix is bound: a
+string body, datatype, language) and IRI tokens until a prefix is bound: a
 term is validated once, a repeated one is one object, and the memos die
 with the parse. Triples go in through ``Graph._add``, with no ``Triple``.
 
@@ -55,6 +55,7 @@ from .model import (
     Iri,
     Literal,
     Term,
+    _unescape,
     escape_literal,
 )
 
@@ -116,24 +117,6 @@ _TOKEN_RE = re.compile(
     + ")"
 )
 
-_ESCAPE_RE = re.compile(rf"\\(?:u{_HEX}{{4}}|U{_HEX}{{8}}|.)")
-_SHORT_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-
-
-def _unescape(m: re.Match) -> str:
-    esc = m.group()
-    return chr(int(esc[2:], 16)) if len(esc) > 2 else _SHORT_ESCAPES[esc[1]]
-
-
 def _error(text: str, offset: int, message: str) -> ParseError:
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
@@ -147,6 +130,8 @@ _NUMBER_RE = re.compile(r"[+\-]?[0-9]*(?:\.[0-9]+)?")
 _EXPONENT_RE = re.compile(r"[eE][+\-]?[0-9]")
 _HEX_RUN_RE = re.compile(f"{_HEX}*")
 _TRIVIA_RE = re.compile(_TRIVIA)
+# what a string body holds that canonical N-Triples would write otherwise: a raw control, quote or DEL, or another escape
+_NOT_CANONICAL_RE = re.compile(r'[\x00-\x1f"\x7f]|\\(?![btnfr"\\]|u00(?:0[0-7BEF]|1[0-9A-F]|7F))')
 _UNSUPPORTED = {
     "'": "single-quoted strings are not supported",
     "(": "collections are not supported",
@@ -168,7 +153,7 @@ def _diagnose(text: str, pos: int) -> NoReturn:
         if not text.startswith(">", end):
             raise _error(text, start, "unterminated IRI reference")
         try:
-            Iri(_ESCAPE_RE.sub(_unescape, text[start + 1 : end]))
+            Iri(_unescape(text[start + 1 : end]))
         except ValueError as exc:
             raise _error(text, start, str(exc)) from None
     elif ch == '"':
@@ -282,7 +267,7 @@ def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names:
     iri = terms.get(body)
     if iri is None:
         try:
-            iri = terms[body] = Iri(_ESCAPE_RE.sub(_unescape, body) if "\\" in body else body)
+            iri = terms[body] = Iri(_unescape(body))
         except ValueError as exc:
             if kind == "pname":  # a name is resolved once the token after it has lexed
                 _late(text, m, str(exc))
@@ -292,11 +277,14 @@ def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names:
 
 
 def _literal(text: str, m: re.Match, key: tuple[str, Iri, str | None], terms: dict) -> Literal:
-    """The Literal of (lexical, datatype, language), whose last token is m."""
+    """The Literal of (body, datatype, language), whose last token is m; body is the string as written."""
     lit = terms.get(key)
     if lit is None:
+        body, datatype, language = key
+        if _NOT_CANONICAL_RE.search(body):  # else the body is already the literal's escaped lexical form
+            body = escape_literal(_unescape(body))
         try:
-            lit = terms[key] = Literal(*key)
+            lit = terms[key] = Literal._escaped(body, datatype, language)
         except ValueError as exc:
             _late(text, m, str(exc))
     return lit
@@ -311,7 +299,7 @@ def parse_turtle(text: str) -> Graph:
     """Parse the Turtle subset; raise ParseError with line and column."""
     graph = Graph()
     add, prefixes = graph._add, graph.prefixes
-    terms: dict = {}  # IRI text -> Iri (see _named), (lexical, datatype, language) -> Literal
+    terms: dict = {}  # IRI text -> Iri (see _named), (string body, datatype, language) -> Literal
     names: dict[str, Iri] = {}  # IRIREF or prefixed-name token -> Iri, until a prefix is bound
     state = _SUBJECT
     for m in _TOKEN_RE.finditer(text):
@@ -321,7 +309,7 @@ def parse_turtle(text: str) -> Graph:
                 state = _DATATYPE
                 continue
             language = m.group(kind)[1:] if kind == "at" and _lexed(text, m, True) else None  # _lexed checks the tag
-            add(subject, verb, _literal(text, m, (lexical, XSD_STRING, language), terms))
+            add(subject, verb, _literal(text, m, (body, XSD_STRING, language), terms))
             state = _AFTER_OBJECT
             if language is not None:
                 continue
@@ -357,9 +345,7 @@ def parse_turtle(text: str) -> Graph:
             if kind == "pname" or kind == "iriref":
                 obj = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
             elif kind == "string" or kind == "long":
-                lexical = m.group(kind)[1:-1] if kind == "string" else m.group(kind)[3:-3]
-                if "\\" in lexical:
-                    lexical = _ESCAPE_RE.sub(_unescape, lexical)
+                body = m.group(kind)[1:-1] if kind == "string" else m.group(kind)[3:-3]
                 state = _AFTER_STRING
                 continue
             elif kind == "blank":
@@ -374,7 +360,7 @@ def parse_turtle(text: str) -> Graph:
                 datatype = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
             else:
                 _expected(text, m, "datatype IRI")
-            add(subject, verb, _literal(text, m, (lexical, datatype, None), terms))
+            add(subject, verb, _literal(text, m, (body, datatype, None), terms))
             state = _AFTER_OBJECT
         elif state == _SUBJECT:
             if kind == "pname" or kind == "iriref":
@@ -409,8 +395,8 @@ def parse_turtle(text: str) -> Graph:
             state = _SUBJECT
 
 
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL_RE = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
+# datatype -> the lexical forms written bare
+_BARE = {XSD_INTEGER: re.compile(r"[+-]?[0-9]+"), XSD_DECIMAL: re.compile(r"[+-]?[0-9]*\.[0-9]+")}
 _SAFE_LOCAL_RE = re.compile(_LOCAL)
 
 
@@ -421,29 +407,27 @@ def _prefix_table(graph: Graph) -> list[tuple[str, str]]:
     return table
 
 
-def _render_iri(iri: Iri, table: list[tuple[str, str]]) -> str:
+def _render_iri(iri: str, table: list[tuple[str, str]]) -> str:
+    """An IRI's ``<...>`` text as a prefixed name where a prefix fits, else as it is."""
     for ns, prefix in table:
-        if iri.value.startswith(ns):
-            local = iri.value[len(ns):]
+        if iri.startswith(ns, 1):
+            local = iri[len(ns) + 1 : -1]
             if _SAFE_LOCAL_RE.fullmatch(local):
                 return f"{prefix}:{local}"
-    return iri.n3()
+    return iri
 
 
-def _render_term(term: Term, render_iri: Callable[[Iri], str]) -> str:
+def _render_term(term: Term, render_iri: Callable[[str], str]) -> str:
+    """The term in Turtle: its own text, but for IRIs and ``"..."^^<datatype>`` literals."""
     if isinstance(term, Iri):
         return render_iri(term)
-    if isinstance(term, Literal):
-        if term.language is not None:
-            return f'"{escape_literal(term.lexical)}"@{term.language}'
-        if term.datatype == XSD_INTEGER and _INTEGER_RE.match(term.lexical):
-            return term.lexical
-        if term.datatype == XSD_DECIMAL and _DECIMAL_RE.match(term.lexical):
-            return term.lexical
-        if term.datatype == XSD_STRING:
-            return f'"{escape_literal(term.lexical)}"'
-        return f'"{escape_literal(term.lexical)}"^^{render_iri(term.datatype)}'
-    return term.n3()
+    if not term.endswith(">"):  # a blank node, or a plain or language-tagged literal
+        return term
+    close = term.rindex('"')
+    datatype = term[close + 3 :]
+    if datatype in _BARE and _BARE[datatype].fullmatch(term, 1, close):
+        return term[1:close]
+    return term[: close + 3] + render_iri(datatype)
 
 
 def serialize_turtle(graph: Graph) -> str:
@@ -454,19 +438,16 @@ def serialize_turtle(graph: Graph) -> str:
     table = _prefix_table(graph)
     render_iri = functools.cache(lambda iri: _render_iri(iri, table))  # this call's memo
     chunks: list[str] = []
-    prefix_lines = [
-        f"@prefix {prefix}: {graph.prefixes[prefix].n3()} ."
-        for prefix in sorted(graph.prefixes)
-    ]
+    prefix_lines = [f"@prefix {prefix}: {graph.prefixes[prefix]} ." for prefix in sorted(graph.prefixes)]
     if prefix_lines:
         chunks.append("\n".join(prefix_lines))
 
-    for subject, po in sorted(graph._spo.items(), key=lambda item: item[0].n3()):
-        preds = sorted(po, key=lambda p: (p != RDF_TYPE, p.n3()))
+    for subject in sorted(graph._spo):
+        po = graph._spo[subject]
         segments = []
-        for pred in preds:
+        for pred in sorted(po, key=lambda p: (p != RDF_TYPE, p)):
             verb = "a" if pred == RDF_TYPE else render_iri(pred)
-            objs = ", ".join(_render_term(o, render_iri) for o in sorted(po[pred], key=lambda t: t.n3()))
+            objs = ", ".join(_render_term(o, render_iri) for o in sorted(po[pred]))
             segments.append(f"{verb} {objs}")
         body = " ;\n    ".join(segments)
         chunks.append(f"{_render_term(subject, render_iri)} {body} .")

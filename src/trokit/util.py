@@ -6,9 +6,10 @@ import re
 from dataclasses import dataclass
 from datetime import date
 
-from .rdf_core import XSD_DATE, Literal
+from .rdf_core import XSD_DATE
 
 _ISO_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+DATE_SUFFIX = '"^^' + XSD_DATE
 
 
 def parse_iso_date(lexical: str) -> date | None:
@@ -23,10 +24,8 @@ def parse_iso_date(lexical: str) -> date | None:
 
 def xsd_dates(objects) -> list[date | None]:
     """Each object's date; None where it is not a well-formed xsd:date literal."""
-    return [
-        parse_iso_date(o.lexical) if isinstance(o, Literal) and o.datatype == XSD_DATE else None
-        for o in objects
-    ]
+    cut = -len(DATE_SUFFIX)  # a valid date's lexical form holds nothing to escape: read the quoted text as is
+    return [parse_iso_date(o[1:cut]) if o.endswith(DATE_SUFFIX) else None for o in objects]
 
 
 class InvalidIntervalError(ValueError):

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .namespaces import DC, DCTERMS, OWL, RDFS, TRO
-from .rdf_core import RDF_TYPE, XSD_DATE, BlankNode, Graph, Iri, Literal, Term, Triple
-from .util import xsd_dates
+from .rdf_core import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
+from .util import DATE_SUFFIX, xsd_dates
 from .vocab import Vocabulary
 
 _PROVENANCE_PROPS = (DC.contributor, DCTERMS.created, DCTERMS.modified, DC.date)
@@ -71,7 +71,7 @@ class Report:
 
     def to_text(self) -> str:
         return "\n".join(
-            f"{e.severity} {e.rule_id} {e.focus.n3()} {e.message}" for e in self.entries
+            f"{e.severity} {e.rule_id} {e.focus} {e.message}" for e in self.entries
         )
 
     def to_json(self) -> str:
@@ -81,7 +81,7 @@ class Report:
                     {
                         "severity": str(e.severity),
                         "ruleId": e.rule_id,
-                        "focus": e.focus.n3(),
+                        "focus": e.focus,
                         "message": e.message,
                     }
                     for e in self.entries
@@ -127,7 +127,7 @@ def _disjoint_clash(graph: Graph, types, vocab: Vocabulary):
         for node, node_types in types.items():
             clash = node_types & constraint.classes
             if len(clash) >= 2:
-                names = ", ".join(sorted(c.n3() for c in clash))
+                names = ", ".join(sorted(clash))
                 yield node, f"typed as {names}, which are declared disjoint"
 
 
@@ -135,29 +135,29 @@ def _missing_required(graph: Graph, types, vocab: Vocabulary):
     for required in vocab.required_properties():
         for node, node_types in types.items():
             if required.on_class in node_types and required.prop not in graph._spo[node]:
-                yield node, f"instance of {required.on_class.n3()} lacks required {required.prop.n3()}"
+                yield node, f"instance of {required.on_class} lacks required {required.prop}"
 
 
 def _bad_range(graph: Graph, types, vocab: Vocabulary):
     for prange in vocab.property_ranges():
-        prop, expected = prange.prop.n3(), prange.range
+        prop, expected = prange.prop, prange.range
         for subject, obj in _pairs(graph, types, prange.prop):
             if prange.range_kind == "datatype":
                 if not isinstance(obj, Literal) or obj.datatype != expected:
-                    yield subject, f"value of {prop} is not a {expected.n3()} literal"
+                    yield subject, f"value of {prop} is not a {expected} literal"
             elif isinstance(obj, Literal):
-                yield subject, f"value of {prop} is a literal, expected a {expected.n3()}"
+                yield subject, f"value of {prop} is a literal, expected a {expected}"
             elif obj in types and expected not in types[obj]:
-                yield subject, f"value of {prop} is not typed {expected.n3()}"
+                yield subject, f"value of {prop} is not typed {expected}"
 
 
 def _bad_date(graph: Graph, types, vocab: Vocabulary):
     for pred, by_object in graph._pos.items():
-        dated = [o for o in by_object if isinstance(o, Literal) and o.datatype == XSD_DATE]
+        dated = [o for o in by_object if o.endswith(DATE_SUFFIX)]
         for obj, parsed in zip(dated, xsd_dates(dated)):
             if parsed is None:
                 for subject in by_object[obj]:
-                    yield subject, f"{pred.n3()} value {obj.lexical!r} is not a YYYY-MM-DD date"
+                    yield subject, f"{pred} value {obj.lexical!r} is not a YYYY-MM-DD date"
 
 
 def _interval_order(graph: Graph, types, vocab: Vocabulary):
@@ -185,7 +185,7 @@ def _no_label(graph: Graph, types, vocab: Vocabulary):
 def _no_provenance(graph: Graph, types, vocab: Vocabulary):
     for node, node_types in types.items():
         if OWL.Ontology in node_types:
-            missing = [p.n3() for p in _PROVENANCE_PROPS if p not in graph._spo[node]]
+            missing = [p for p in _PROVENANCE_PROPS if p not in graph._spo[node]]
             if missing:
                 yield node, f"header lacks {', '.join(missing)}"
 
@@ -217,5 +217,5 @@ def check(graph: Graph, vocab: Vocabulary) -> Report:
         for rule_id, severity, rule in RULES
         for focus, message in rule(graph, types, vocab)
     ]
-    entries.sort(key=lambda e: (e.rule_id, e.focus.n3(), e.message))
+    entries.sort(key=lambda e: (e.rule_id, e.focus, e.message))
     return Report(tuple(entries))

@@ -49,7 +49,7 @@ class VocabTerm:
 
     def __post_init__(self) -> None:
         if not self.label:
-            raise ValueError(f"term {self.iri} has an empty label")
+            raise ValueError(f"term {self.iri.value} has an empty label")
 
     @property
     def origin(self) -> str:
@@ -117,14 +117,14 @@ class Vocabulary:
         for constraint in self.constraints:
             for iri in self._referenced(constraint):
                 if iri not in self.terms:
-                    raise ValueError(f"constraint references unknown term {iri}")
+                    raise ValueError(f"constraint references unknown term {iri.value}")
         edges = self.subclass_edges()
         closures: dict[Iri, frozenset[Iri]] = {}
         on_path: set[Iri] = set()
 
         def close(node: Iri) -> frozenset[Iri]:
             if node in on_path:
-                raise ValueError(f"subclass cycle through {node}")
+                raise ValueError(f"subclass cycle through {node.value}")
             if node not in closures:
                 on_path.add(node)
                 closures[node] = frozenset({node}).union(*map(close, edges.get(node, ())))
@@ -175,7 +175,7 @@ def subclass_closure(vocab: Vocabulary, cls: Iri) -> set[Iri]:
     """
     closure = vocab._closures.get(cls)
     if closure is None:
-        raise UnknownClassError(f"not a known class: {cls}")
+        raise UnknownClassError(f"not a known class: {cls.value}")
     return set(closure)
 
 
@@ -319,6 +319,6 @@ def vocabulary_graph(vocab: Vocabulary) -> Graph:
         if isinstance(constraint, SubClassOf):
             g.insert(Triple(constraint.sub, RDFS.subClassOf, constraint.sup))
         elif isinstance(constraint, Disjointness):
-            for a, b in combinations(sorted(constraint.classes, key=Iri.n3), 2):
+            for a, b in combinations(sorted(constraint.classes), 2):
                 g.insert(Triple(a, OWL.disjointWith, b))
     return g

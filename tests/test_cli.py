@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trokit import canonical_ntriples, cli, parse_turtle
+from trokit import CONTRACT_HEADER, ROLE_HEADER, canonical_ntriples, cli, parse_turtle
 from trokit.cli import run
 
 from conftest import FIXTURES
@@ -124,6 +124,24 @@ class TestIngest:
             "--out", str(tmp_path / "g.ttl"),
         )
         assert code == 2 and "header mismatch" in err
+
+    @pytest.mark.parametrize("option, other", [("contracts", "roles"), ("roles", "contracts")])
+    def test_header_mismatch_names_the_file(self, pipeline_ttl, option, other):
+        """A file of the other schema, as when the two options are swapped, is named in the error."""
+        work = pipeline_ttl.parent
+        paths = {"contracts": work / "contracts.csv", "roles": work / "roles.csv"}
+        paths[option] = paths[other]
+        before = pipeline_ttl.read_bytes()
+        code, out, err = invoke(
+            "ingest",
+            "--contracts", str(paths["contracts"]),
+            "--roles", str(paths["roles"]),
+            "--out", str(pipeline_ttl),
+        )
+        assert code == 2 and out == ""
+        expected = ",".join(CONTRACT_HEADER if option == "contracts" else ROLE_HEADER)
+        assert err.startswith(f"error: {paths[option]}: header mismatch: expected '{expected}', got ")
+        assert pipeline_ttl.read_bytes() == before
 
     def test_a_field_over_the_csv_size_limit_exits_two(self, pipeline_ttl):
         lines = (FIXTURES / "contracts.csv").read_text(encoding="utf-8").splitlines(keepends=True)

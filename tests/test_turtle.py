@@ -411,7 +411,7 @@ def term_objects(graph):
     for index in (graph._spo, graph._pos):
         for a, inner in index.items():
             for b, leaves in inner.items():
-                for term in (a, b, *leaves, *(x.datatype for x in (b, *leaves) if isinstance(x, Literal))):
+                for term in (a, b, *leaves):
                     found.setdefault(term, set()).add(id(term))
     return found
 
@@ -452,6 +452,12 @@ class TestTermMemo:
         found = term_objects(g)
         assert {t.n3() for t, ids in found.items() if len(ids) > 1} == set()
         assert Literal("7", XSD_INTEGER) in found and Iri(EX + "dt") in found
+        # a literal's datatype is part of its text, not an object the graph holds:
+        # it reads back equal to the IRI the parse memoised for the same text
+        memoised = {t.n3(): t for t in found if isinstance(t, Iri)}
+        typed = [x for x in found if isinstance(x, Literal) and x.datatype.n3() in memoised]
+        assert len(typed) == 2
+        assert all(isinstance(x.datatype, Iri) and x.datatype == memoised[x.datatype.n3()] for x in typed)
         # a number and a string of the same lexical form stay distinct terms
         assert g.objects(Iri(EX + "b"), Iri(EX + "q")).count(Literal("7", XSD_INTEGER)) == 1
         assert Literal("7", Iri(EX + "dt")) in g.objects(Iri(EX + "b"), Iri(EX + "q"))
