@@ -22,10 +22,8 @@ from .ingest import (
     IngestReport,
     RoleEvidenceRecord,
     build_graph,
-    contract_to_triples,
     parse_contract_csv,
     parse_role_csv,
-    role_to_triples,
 )
 from .minting import (
     EmptySlugError,
@@ -48,18 +46,16 @@ from .rdf_core import (
     serialize_turtle,
 )
 from .util import Interval, InvalidIntervalError
-from .validate import Report, ReportEntry, Severity, check, infer_types
+from .validate import Report, ReportEntry, Severity, check
 from .vocab import (
     Disjointness,
     PropertyRange,
     RequiredProperty,
     SubClassOf,
     TermKind,
-    UnknownClassError,
     VocabTerm,
     Vocabulary,
     builtin_vocabulary,
-    subclass_closure,
     vocabulary_graph,
 )
 
@@ -95,26 +91,21 @@ __all__ = [
     "Term",
     "TermKind",
     "Triple",
-    "UnknownClassError",
     "VocabTerm",
     "Vocabulary",
     "build_graph",
     "builtin_vocabulary",
     "canonical_ntriples",
     "check",
-    "contract_to_triples",
     "default_prefixes",
     "detect_conflicts",
     "findings_to_json",
-    "infer_types",
     "mint_entity_iri",
     "mint_role_iri",
     "normalize_name",
     "parse_contract_csv",
     "parse_role_csv",
     "parse_turtle",
-    "role_to_triples",
     "serialize_turtle",
-    "subclass_closure",
     "vocabulary_graph",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes follow CI conventions: 0 success, 1 the graph has
 validation ERRORs, 2 usage, I/O, or parse failure. WARN and INFO
-findings never fail a run.
+findings never fail a run. A located error names its file, as
+``error: <path>:<line>:<column>: <message>`` (CSV: no column).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .ingest import (
     parse_role_csv,
 )
 from .minting import MintConfig
-from .rdf_core import Iri, ParseError, canonical_ntriples, parse_turtle, serialize_turtle
+from .rdf_core import Graph, Iri, ParseError, canonical_ntriples, parse_turtle, serialize_turtle
 from .validate import Severity, check
 from .vocab import builtin_vocabulary, vocabulary_graph
 
@@ -95,8 +96,17 @@ def _print_ingest_report(label: str, report: IngestReport, out) -> None:
 def _read_csv(path: str, parse):
     try:
         return parse(_read(path))
-    except (CsvSyntaxError, HeaderMismatchError) as exc:
+    except CsvSyntaxError as exc:
+        raise ValueError(f"{path}:{exc.line}: {exc.message}") from None
+    except HeaderMismatchError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_graph(path: str) -> Graph:
+    try:
+        return parse_turtle(_read(path))
+    except ParseError as exc:
+        raise ValueError(f"{path}:{exc.line}:{exc.col}: {exc.message}") from None
 
 
 def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
@@ -112,7 +122,7 @@ def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace, out, err) -> int:
-    graph = parse_turtle(_read(args.in_path))
+    graph = _read_graph(args.in_path)
     report = check(graph, builtin_vocabulary())
     if args.report_format == "json":
         print(report.to_json(), file=out)
@@ -129,7 +139,7 @@ def _cmd_validate(args: argparse.Namespace, out, err) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, out, err) -> int:
-    graph = parse_turtle(_read(args.in_path))
+    graph = _read_graph(args.in_path)
     report = check(graph, builtin_vocabulary())
     if report.max_severity() == Severity.ERROR:
         print(report.to_text(), file=err)
@@ -149,7 +159,7 @@ def _cmd_vocab(args: argparse.Namespace, out, err) -> int:
 
 
 def _cmd_export(args: argparse.Namespace, out, err) -> int:
-    graph = parse_turtle(_read(args.in_path))
+    graph = _read_graph(args.in_path)
     if args.format == "turtle":
         _write(args.out, serialize_turtle(graph))
     else:
@@ -179,7 +189,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (OSError, ParseError, HeaderMismatchError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError, CsvSyntaxError and HeaderMismatchError are ValueErrors
         print(f"error: {exc}", file=err)
         return 2
 

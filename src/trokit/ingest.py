@@ -8,9 +8,8 @@ The first failing check gives a rejected row its one reason in the
 IngestReport, and the remaining rows proceed. The checks include that
 every name the row will mint an IRI from survives slug folding, so
 record-to-triple conversion cannot fail later. One body per schema
-gives a record's (s, p, o) tuples: build_graph adds them through
-Graph._add, with no Triple, and contract_to_triples and role_to_triples
-wrap them as sets of Triple.
+gives a record's (s, p, o) tuples, and build_graph adds them through
+Graph._add, with no Triple.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .rdf_core import (
     Graph,
     Iri,
     Literal,
-    Triple,
 )
 from .util import parse_iso_date
 
@@ -75,7 +73,12 @@ class HeaderMismatchError(ValueError):
 
 
 class CsvSyntaxError(ValueError):
-    """A line the csv module cannot read, such as a field over its size limit; the message names it."""
+    """A line the csv module cannot read, such as a field over its size limit."""
+
+    def __init__(self, message: str, line: int) -> None:
+        super().__init__(f"line {line}: {message}")
+        self.message = message
+        self.line = line
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +146,7 @@ def _parse(text: str, header: list[str], record) -> tuple[list, IngestReport]:
             except _Rejected as exc:
                 rejected.append(RejectedRow(reader.line_num, exc.args[0]))
     except csv.Error as exc:  # csv.field_size_limit() is process-wide, so it is not raised here
-        raise CsvSyntaxError(f"line {reader.line_num}: {exc}") from None
+        raise CsvSyntaxError(str(exc), reader.line_num) from None
     return records, IngestReport(len(records), tuple(rejected))
 
 
@@ -279,14 +282,6 @@ def _role_triples(record: RoleEvidenceRecord, cfg: MintConfig, iri, literal) -> 
             (person, prop, related),
         )
     return triples
-
-
-def contract_to_triples(record: ContractRecord, cfg: MintConfig) -> set[Triple]:
-    return {Triple(*t) for t in _contract_triples(record, functools.partial(mint_entity_iri, cfg), Literal)}
-
-
-def role_to_triples(record: RoleEvidenceRecord, cfg: MintConfig) -> set[Triple]:
-    return {Triple(*t) for t in _role_triples(record, cfg, functools.partial(mint_entity_iri, cfg), Literal)}
 
 
 def build_graph(

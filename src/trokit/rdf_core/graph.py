@@ -1,12 +1,12 @@
-"""An in-memory triple store with SPO and POS indexes.
+"""An in-memory triple store with SPO and POS indexes; triples are only ever added.
 
-A pattern with a bound subject is answered from ``_spo``, one with a
-bound predicate from ``_pos``. Object-bound patterns have no index of
-their own: ``(s, ?, o)`` walks the predicates of ``_spo[s]`` and
-``(?, ?, o)`` probes ``_pos[p][o]`` once per distinct predicate; neither
-scans the triple set. Terms sort as strings, by their N-Triples text, and
-results are sorted by subject, predicate, object, so their order is
-deterministic; ``subjects``, ``objects`` and ``value`` read one index column.
+``match`` makes one walk: a pattern with a bound subject walks ``_spo[s]``,
+any other walks ``_pos``, and at each level a bound term is probed, not
+scanned. So ``(s, p, o)`` is one probe, ``(s, ?, o)`` probes the predicates
+of ``_spo[s]`` and ``(?, ?, o)`` probes ``_pos[p][o]`` once per distinct
+predicate. Terms sort as strings, by their N-Triples text, and results are
+sorted by subject, predicate, object, so their order is deterministic;
+``subjects``, ``objects`` and ``value`` read one index column.
 
 trokit's own modules (coi, validate, turtle, ntriples) read the indexes
 directly: ``_spo[s][p]`` and ``_pos[p][o]`` are unsorted, non-empty
@@ -37,10 +37,7 @@ class Graph:
         return objs is not None and triple.object in objs
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples(), key=Triple.sort_key))
-
-    def bind(self, prefix: str, namespace: Iri) -> None:
-        self.prefixes[prefix] = namespace
+        return iter(self.match())
 
     def insert(self, triple: Triple) -> bool:
         """Add a triple; return False if it was already present."""
@@ -56,48 +53,6 @@ class Graph:
         self._size += 1
         return True
 
-    def remove(self, triple: Triple) -> bool:
-        """Remove a triple; return False if it was not present."""
-        if triple not in self:
-            return False
-        s, p, o = triple.subject, triple.predicate, triple.object
-        self._discard(self._spo, s, p, o)
-        self._discard(self._pos, p, o, s)
-        self._size -= 1
-        return True
-
-    @staticmethod
-    def _discard(index: dict, a, b, c) -> None:
-        inner = index[a]
-        leaf = inner[b]
-        leaf.discard(c)
-        if not leaf:
-            del inner[b]
-            if not inner:
-                del index[a]
-
-    def update(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; return how many were new."""
-        return sum(self.insert(t) for t in triples)
-
-    def copy(self) -> "Graph":
-        out = Graph(self.prefixes)
-        out._spo, out._pos = (
-            {a: {b: set(cs) for b, cs in inner.items()} for a, inner in index.items()}
-            for index in (self._spo, self._pos)
-        )
-        out._size = self._size
-        return out
-
-    def triples(self) -> set[Triple]:
-        """A fresh set of all triples (mutating it does not touch the graph)."""
-        return {
-            Triple(s, p, o)
-            for s, po in self._spo.items()
-            for p, objs in po.items()
-            for o in objs
-        }
-
     def match(
         self,
         subject: Iri | BlankNode | None = None,
@@ -109,36 +64,12 @@ class Graph:
         The result is a list sorted by (subject, predicate, object), so
         equal graphs always answer equal patterns identically.
         """
-        s, p, o = subject, predicate, object
-        if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
-            return [t] if t in self else []
-        if s is not None and p is not None:
-            found = [Triple(s, p, obj) for obj in self._spo.get(s, {}).get(p, ())]
-        elif s is not None and o is not None:
-            found = [Triple(s, pred, o) for pred, objs in self._spo.get(s, {}).items() if o in objs]
-        elif p is not None and o is not None:
-            found = [Triple(subj, p, o) for subj in self._pos.get(p, {}).get(o, ())]
-        elif s is not None:
-            found = [
-                Triple(s, pred, obj)
-                for pred, objs in self._spo.get(s, {}).items()
-                for obj in objs
-            ]
-        elif p is not None:
-            found = [
-                Triple(subj, p, obj)
-                for obj, subjs in self._pos.get(p, {}).items()
-                for subj in subjs
-            ]
-        elif o is not None:
-            found = [
-                Triple(subj, pred, o)
-                for pred, by_object in self._pos.items()
-                for subj in by_object.get(o, ())
-            ]
+        if subject is not None:
+            po = self._spo.get(subject, {})
+            found = [Triple(subject, p, o) for p in _keys(po, predicate) for o in _keys(po[p], object)]
         else:
-            found = list(self.triples())
+            pos = self._pos
+            found = [Triple(s, p, o) for p in _keys(pos, predicate) for o in _keys(pos[p], object) for s in pos[p][o]]
         found.sort(key=Triple.sort_key)
         return found
 
@@ -158,6 +89,11 @@ class Graph:
         """
         objs = self._spo.get(subject, {}).get(predicate, ())
         return next(iter(objs)) if len(objs) == 1 else None
+
+
+def _keys(index, key) -> Iterable:
+    """Every key of index for a wildcard (None), else the bound key if index holds it."""
+    return index if key is None else (key,) if key in index else ()
 
 
 def _column(index: dict, a: Term | None, b: Term | None) -> list:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .namespaces import DC, DCTERMS, OWL, RDFS, TRO
-from .rdf_core import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
+from .rdf_core import RDF_LANG_STRING, RDF_TYPE, XSD_STRING, BlankNode, Graph, Iri, Literal, Term
 from .util import DATE_SUFFIX, xsd_dates
 from .vocab import Vocabulary
 
@@ -105,15 +105,6 @@ def _types(graph: Graph, vocab: Vocabulary) -> dict[Iri | BlankNode, set[Iri]]:
     return types
 
 
-def infer_types(graph: Graph, vocab: Vocabulary) -> Graph:
-    """A copy of the graph with superclass typings added."""
-    out = graph.copy()
-    for node, classes in _types(graph, vocab).items():
-        for cls in classes:
-            out.insert(Triple(node, RDF_TYPE, cls))
-    return out
-
-
 def _pairs(graph: Graph, types, prop: Iri):
     """(subject, object) of every ``prop`` triple, inferred typings included."""
     pairs = [(s, o) for o, subjects in graph._pos.get(prop, {}).items() for s in subjects]
@@ -141,9 +132,12 @@ def _missing_required(graph: Graph, types, vocab: Vocabulary):
 def _bad_range(graph: Graph, types, vocab: Vocabulary):
     for prange in vocab.property_ranges():
         prop, expected = prange.prop, prange.range
-        for subject, obj in _pairs(graph, types, prange.prop):
+        # a literal's text ends in its datatype's suffix (exact: an IRI holds no '"'), or in "@tag"
+        suffix = '"' if expected == XSD_STRING else '"^^' + expected
+        tagged = expected == RDF_LANG_STRING
+        for subject, obj in _pairs(graph, types, prop):
             if prange.range_kind == "datatype":
-                if not isinstance(obj, Literal) or obj.datatype != expected:
+                if not isinstance(obj, Literal) or not (obj.endswith(suffix) or tagged and obj.language):
                     yield subject, f"value of {prop} is not a {expected} literal"
             elif isinstance(obj, Literal):
                 yield subject, f"value of {prop} is a literal, expected a {expected}"

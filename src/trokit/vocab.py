@@ -36,10 +36,6 @@ class TermKind(str, Enum):
     ANNOTATION_PROPERTY = "annotation-property"
 
 
-class UnknownClassError(ValueError):
-    """Raised when an operation is asked about a class not in the vocabulary."""
-
-
 @dataclass(frozen=True, slots=True)
 class VocabTerm:
     iri: Iri
@@ -166,17 +162,6 @@ class Vocabulary:
 
     def property_ranges(self) -> list[PropertyRange]:
         return [c for c in self.constraints if isinstance(c, PropertyRange)]
-
-
-def subclass_closure(vocab: Vocabulary, cls: Iri) -> set[Iri]:
-    """{cls} plus all transitive superclasses.
-
-    Raises UnknownClassError when cls is not a registered class.
-    """
-    closure = vocab._closures.get(cls)
-    if closure is None:
-        raise UnknownClassError(f"not a known class: {cls.value}")
-    return set(closure)
 
 
 def _class(iri: Iri, label: str, definition: str) -> VocabTerm:

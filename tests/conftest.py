@@ -5,19 +5,27 @@ The generators build three kinds of inputs: arbitrary small graphs
 hierarchies (for inference), and record-shaped graphs of people,
 roles, orgs, and contracts (for detection). They deliberately emit
 some malformed nodes so the skip paths get exercised too.
+
+The helpers below the generators are the tests' own graph operations
+and oracles (copy, union, removal, every triple, naive subclass
+closures, inferred typings, record triples), so the library keeps
+only the API its commands use.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
-from trokit import Graph, Iri, Literal, Triple, default_prefixes
+from trokit import Graph, Iri, Literal, MintConfig, Triple, Vocabulary, default_prefixes, mint_entity_iri
+from trokit.ingest import _contract_triples, _role_triples
 from trokit.namespaces import EPO, TRO
-from trokit.rdf_core import XSD_DATE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
+from trokit.rdf_core import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
+from trokit.validate import _types
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,7 +78,7 @@ def random_graph(rng: random.Random, max_triples: int = 200) -> Graph:
     g = Graph()
     for i in range(rng.randrange(4)):
         ns = rng.choice(_IRI_POOL)
-        g.bind(f"p{i}", Iri(ns if ns.endswith(("#", "/")) else ns + "#"))
+        g.prefixes[f"p{i}"] = Iri(ns if ns.endswith(("#", "/")) else ns + "#")
     for _ in range(rng.randrange(max_triples + 1)):
         subject = Iri(rng.choice(_IRI_POOL))
         predicate = Iri(rng.choice(_IRI_POOL))
@@ -207,6 +215,54 @@ def _dense_coi_graph(rng: random.Random) -> Graph:
         if rng.random() < 0.7:
             g.insert(Triple(contract, TRO.hasEvidence, Iri(f"{base}evidence/c{i}")))
     return g
+
+
+def graph_of(triples, prefixes: dict[str, Iri] | None = None) -> Graph:
+    """A new graph holding the triples: the tests' copy, union and removal."""
+    g = Graph(prefixes)
+    for t in triples:
+        g.insert(t)
+    return g
+
+
+def without(graph: Graph, *triples: Triple) -> Graph:
+    """A new graph holding the graph's triples and prefixes, less the given triples."""
+    return graph_of(all_triples(graph).difference(triples), graph.prefixes)
+
+
+def all_triples(graph: Graph) -> set[Triple]:
+    """Every triple, read from the SPO index directly, through neither match nor iteration."""
+    return {Triple(s, p, o) for s, po in graph._spo.items() for p, objs in po.items() for o in objs}
+
+
+def naive_closures(vocab: Vocabulary) -> dict[Iri, set[Iri]]:
+    """Each registered class with every class reachable from it by subclass_edges(), itself included."""
+    edges = vocab.subclass_edges()
+    closures = {}
+    for term in vocab.classes():
+        seen, todo = {term.iri}, [term.iri]
+        while todo:
+            for sup in edges.get(todo.pop(), ()):
+                if sup not in seen:
+                    seen.add(sup)
+                    todo.append(sup)
+        closures[term.iri] = seen
+    return closures
+
+
+def inferred(graph: Graph, vocab: Vocabulary) -> set[Triple]:
+    """The graph's triples plus a typing for each class of each node in the types map check reads."""
+    typings = {Triple(node, RDF_TYPE, cls) for node, classes in _types(graph, vocab).items() for cls in classes}
+    return all_triples(graph) | typings
+
+
+def record_triples(contracts, roles, cfg: MintConfig = MintConfig()) -> set[Triple]:
+    """The union of each record's triples, minted and built afresh per record, with no memo."""
+    iri = functools.partial(mint_entity_iri, cfg)
+    return {
+        *(Triple(*t) for c in contracts for t in _contract_triples(c, iri, Literal)),
+        *(Triple(*t) for r in roles for t in _role_triples(r, cfg, iri, Literal)),
+    }
 
 
 @pytest.fixture(scope="session")

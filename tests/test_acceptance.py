@@ -24,7 +24,6 @@ from trokit import (
     canonical_ntriples,
     check,
     detect_conflicts,
-    infer_types,
     mint_entity_iri,
     mint_role_iri,
     normalize_name,
@@ -38,7 +37,7 @@ from trokit.cli import run
 from trokit.namespaces import EPO, GIST, GR, SCHEMA, TRO, XSD
 from trokit.rdf_core import RDF_TYPE
 
-from conftest import FIXTURES, random_coi_graph, random_graph
+from conftest import FIXTURES, all_triples, inferred, random_coi_graph, random_graph
 from test_coi import _finding_key, brute_force_keys
 
 
@@ -183,7 +182,7 @@ def test_acceptance_4(capsys):
     report_criterion(capsys, 4, "violation catalog", criterion_violation_catalog)
 
 
-# --- 5: precomputed inference equals the naive fixpoint -----------------
+# --- 5: check's inferred typings equal the naive fixpoint ---------------
 
 
 def criterion_inference_fixpoint():
@@ -192,7 +191,7 @@ def criterion_inference_fixpoint():
     foreign = Iri("http://elsewhere.org/Thing")
 
     def naive(graph: Graph, vocab: Vocabulary) -> set:
-        triples = graph.triples()
+        triples = all_triples(graph)
         edges = [(c.sub, c.sup) for c in vocab.constraints if isinstance(c, SubClassOf)]
         changed = True
         while changed:
@@ -228,7 +227,7 @@ def criterion_inference_fixpoint():
             g.insert(
                 Triple(rng.choice(subjects), RDF_TYPE, rng.choice(classes[:n] + [foreign]))
             )
-        assert infer_types(g, vocab).triples() == naive(g, vocab), seed
+        assert inferred(g, vocab) == naive(g, vocab), seed
 
 
 def test_acceptance_5(capsys):

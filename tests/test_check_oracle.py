@@ -1,9 +1,9 @@
 """Differential oracle for validate.check.
 
 ``reference_check`` is the earlier, straightforward rule catalog: it
-copies the graph, adds the superclass typings, and answers every rule
-through the public ``match`` / ``subjects`` / ``objects`` / ``triples``
-API. ``check`` reads the graph's indexes instead; both must produce the
+copies the graph, adds the superclass typings from closures computed
+naively from ``subclass_edges()``, and answers every rule through the
+public ``match`` / ``subjects`` / ``objects`` API and iteration. ``check`` reads the graph's indexes instead; both must produce the
 same report bytes on random graphs under random subclass hierarchies.
 """
 
@@ -28,22 +28,19 @@ from trokit import (
     check,
 )
 from trokit.namespaces import DC, DCTERMS, EPO, GIST, OWL, RDFS, SCHEMA, TRO, XSD
-from trokit.rdf_core import RDF_TYPE, XSD_DATE, Graph
+from trokit.rdf_core import RDF_LANG_STRING, RDF_TYPE, XSD_DATE, Graph
 from trokit.util import parse_iso_date
 from trokit.validate import Report, ReportEntry, Severity
-from trokit.vocab import subclass_closure
+
+from conftest import all_triples, graph_of, naive_closures
 
 _PROVENANCE_PROPS = (DC.contributor, DCTERMS.created, DCTERMS.modified, DC.date)
 _DECLARED_KINDS = (OWL.Class, OWL.ObjectProperty, OWL.DatatypeProperty, OWL.AnnotationProperty)
 
 
 def reference_infer_types(graph: Graph, vocab: Vocabulary) -> Graph:
-    supertypes = {
-        term.iri: subclass_closure(vocab, term.iri) - {term.iri}
-        for term in vocab.terms.values()
-        if term.kind == TermKind.CLASS
-    }
-    out = graph.copy()
+    supertypes = {cls: closure - {cls} for cls, closure in naive_closures(vocab).items()}
+    out = graph_of(all_triples(graph))
     for triple in graph.match(None, RDF_TYPE, None):
         for sup in supertypes.get(triple.object, ()):
             out.insert(Triple(triple.subject, RDF_TYPE, sup))
@@ -116,7 +113,7 @@ def reference_check(graph: Graph, vocab: Vocabulary) -> Report:
                     f"value of {prange.prop.n3()} is not typed {prange.range.n3()}",
                 )
 
-    for triple in g.triples():
+    for triple in g:
         obj = triple.object
         if isinstance(obj, Literal) and obj.datatype == XSD_DATE and parse_iso_date(obj.lexical) is None:
             report(
@@ -133,7 +130,7 @@ def reference_check(graph: Graph, vocab: Vocabulary) -> Report:
             report(Severity.ERROR, "INTERVAL-ORDER", node, "end date precedes start date")
 
     unknown = set()
-    for triple in g.triples():
+    for triple in g:
         if unknown_tro_term(triple.predicate):
             unknown.add(triple.predicate)
         if triple.predicate == RDF_TYPE and isinstance(triple.object, Iri) and unknown_tro_term(triple.object):
@@ -274,3 +271,38 @@ def test_check_sees_inferred_typings():
         ),
     ]
     assert check(g, vocab).to_json() == reference_check(g, vocab).to_json()
+
+
+def test_bad_range_reads_each_datatype_exactly():
+    """A datatype range holds exactly the literals whose datatype is the range, whatever their text."""
+    date_suffix = '"^^' + XSD_DATE
+    ranges = [XSD.string, XSD.date, XSD.decimal, RDF_LANG_STRING, Iri("http://example.org/dt")]
+    props = [Iri(f"http://example.org/p{i}") for i in range(len(ranges))]
+    terms = dict(BUILTIN.terms)
+    terms.update((p, VocabTerm(p, TermKind.DATA_PROPERTY, "p", "a property")) for p in props)
+    vocab = Vocabulary(
+        terms=terms,
+        constraints=BUILTIN.constraints + tuple(PropertyRange(p, r, "datatype") for p, r in zip(props, ranges)),
+    )
+    values = [
+        Literal("x"),
+        Literal("x", language="en"),
+        Literal("2019-01-01", XSD_DATE),
+        Literal("12", XSD.decimal),
+        Literal("x", ranges[-1]),
+        Literal("a" + date_suffix),  # a string whose text holds a date literal's suffix
+        Literal('ends in a quote"'),
+        Literal('"', language="en"),
+        Iri("http://example.org/x"),
+        BlankNode("b0"),
+    ]
+    g = Graph()
+    for i, value in enumerate(values):
+        for prop in props:
+            g.insert(Triple(Iri(f"http://example.org/n{i}"), prop, value))
+    report = check(g, vocab)
+    bad = Counter(e.message for e in report.entries if e.rule_id == "BAD-RANGE")
+    for prop, expected in zip(props, ranges):
+        typed = [v for v in values if isinstance(v, Literal) and v.datatype == expected]
+        assert bad[f"value of {prop} is not a {expected} literal"] == len(values) - len(typed) > 0
+    assert report.to_json() == reference_check(g, vocab).to_json()

@@ -156,7 +156,7 @@ class TestIngest:
             "--out", str(pipeline_ttl),
         )
         assert code == 2 and out == ""
-        assert err == f"error: {contracts}: line 3: field larger than field limit (131072)\n"
+        assert err == f"error: {contracts}:3: field larger than field limit (131072)\n"
         assert "Traceback" not in err
         assert pipeline_ttl.read_bytes() == before
 
@@ -192,7 +192,7 @@ class TestValidate:
         mangled = tmp_path / "broken.ttl"
         mangled.write_text("@prefix broken", encoding="utf-8")
         code, _, err = invoke("validate", "--in", str(mangled))
-        assert code == 2 and err.startswith("error: line ")
+        assert code == 2 and err == f"error: {mangled}:1:9: unexpected bare word 'broken'\n"
 
 
 class TestDetect:
@@ -277,11 +277,28 @@ class TestAtomicWrites:
         out_file.write_text("earlier\n", encoding="utf-8")
         code, _, err = invoke("export", "--in", str(bad), "--format", "turtle", "--out", str(out_file))
         assert code == 2
-        assert err.startswith("error: line 1, column 36: escape '\\UFFFFFFFF' does not encode a character")
+        assert err.startswith(f"error: {bad}:1:36: escape '\\UFFFFFFFF' does not encode a character")
         assert out_file.read_text(encoding="utf-8") == "earlier\n"
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["validate", "detect", "export"])
+    def test_turtle_error_names_file_line_and_column(self, tmp_path, command):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text(
+            '<http://e.org/a> <http://e.org/p> "x" .\n'
+            '<http://e.org/b> <http://e.org/p> "y"\n'
+            '<http://e.org/c> <http://e.org/p> "z" .\n',
+            encoding="utf-8",
+        )
+        out_file = tmp_path / "out"
+        out_file.write_text("earlier\n", encoding="utf-8")
+        argv = [command, "--in", str(bad)] + (["--out", str(out_file)] if command != "validate" else [])
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}:3:1: expected '.' at end of statement, found IRI\n"
+        assert out_file.read_text(encoding="utf-8") == "earlier\n"
+
     def test_missing_file(self, tmp_path):
         code, _, err = invoke("validate", "--in", str(tmp_path / "nope.ttl"))
         assert code == 2 and err.startswith("error:")

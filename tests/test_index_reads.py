@@ -1,4 +1,4 @@
-"""trokit's own stages read the graph's indexes; none materialises or copies it.
+"""trokit's own stages read the graph's indexes; none materialises the graph.
 
 The two graph builders, ``build_graph`` and ``parse_turtle``, write the
 indexes through ``Graph._add`` and construct no ``Triple``.
@@ -21,24 +21,24 @@ from trokit import (
     builtin_vocabulary,
     canonical_ntriples,
     check,
-    contract_to_triples,
     detect_conflicts,
     parse_contract_csv,
     parse_role_csv,
     parse_turtle,
-    role_to_triples,
     serialize_turtle,
 )
 from trokit.cli import run
-from trokit.rdf_core import Graph
+from trokit.rdf_core import RDF_TYPE, Graph
+
+from conftest import all_triples, record_triples
 
 
 @pytest.fixture()
 def no_materialisation(monkeypatch):
     def refuse(self, *args, **kwargs):
-        raise AssertionError("the whole graph was materialised or copied")
+        raise AssertionError("the whole graph was materialised")
 
-    for name in ("triples", "copy", "__iter__", "match"):
+    for name in ("__iter__", "match"):
         monkeypatch.setattr(Graph, name, refuse)
 
 
@@ -78,7 +78,7 @@ def test_graph_builders_construct_no_triple(contracts_csv, roles_csv, monkeypatc
     graph = build_graph(contracts, roles)
     assert len(parse_turtle(text)) == len(graph) > 0
     with pytest.raises(AssertionError, match="a Triple was constructed"):
-        contract_to_triples(contracts[0], MintConfig())
+        Triple(Iri("http://a.example/"), RDF_TYPE, Iri("http://a.example/C"))
 
 
 # small pools, so records share people, orgs and evidence and the per-call memos are hit
@@ -105,10 +105,8 @@ _ROLES = st.builds(
 def test_build_graph_is_the_union_of_the_record_triples(contracts, roles, base):
     cfg = MintConfig(Iri(base))
     graph = build_graph(contracts, roles, cfg)
-    expected = set().union(
-        *(contract_to_triples(c, cfg) for c in contracts), *(role_to_triples(r, cfg) for r in roles)
-    )
-    assert graph.triples() == expected
+    expected = record_triples(contracts, roles, cfg)
+    assert all_triples(graph) == expected
     assert len(graph) == len(expected)
 
 

@@ -18,10 +18,8 @@ from trokit import (
     builtin_vocabulary,
     canonical_ntriples,
     check,
-    contract_to_triples,
     parse_contract_csv,
     parse_role_csv,
-    role_to_triples,
 )
 from trokit.namespaces import DC, DCTERMS, EPO, GIST, GR, SCHEMA, TRO
 from trokit.rdf_core import RDF_TYPE, XSD_ANY_URI, XSD_DATE, XSD_DECIMAL, BlankNode
@@ -38,6 +36,16 @@ def contract_rows(*rows: str) -> str:
 
 def role_rows(*rows: str) -> str:
     return ",".join(ROLE_HEADER) + "\n" + "\n".join(rows) + "\n"
+
+
+def contract_to_triples(record, cfg):
+    """One contract record's triples: the graph build_graph makes of it alone."""
+    return set(build_graph([record], [], cfg))
+
+
+def role_to_triples(record, cfg):
+    """One role record's triples, as contract_to_triples."""
+    return set(build_graph([], [record], cfg))
 
 
 GOOD_CONTRACT = "C-1,Works,Alpha Org,Beta Org,2020-01-01,100.00,https://example.org/c1"
@@ -79,6 +87,7 @@ class TestHeaders:
         with pytest.raises(CsvSyntaxError) as exc:
             parse(rows(good, huge, good))
         assert str(exc.value) == "line 3: field larger than field limit (131072)"
+        assert (exc.value.line, exc.value.message) == (3, "field larger than field limit (131072)")
         with pytest.raises(CsvSyntaxError, match="^line 1: field larger"):
             parse("x" * 200_000 + "\n" + good)
 
@@ -336,10 +345,7 @@ class TestContractTriples:
 
     def test_matches_gold_ntriples(self, contracts_csv):
         records, _ = parse_contract_csv(contracts_csv)
-        from trokit.rdf_core import Graph
-
-        g = Graph()
-        g.update(contract_to_triples(records[0], CFG))
+        g = build_graph(records[:1], [], CFG)
         gold = (FIXTURES / "gold" / "contract_record.nt").read_text(encoding="utf-8")
         assert canonical_ntriples(g) == gold
 
@@ -410,10 +416,7 @@ class TestRoleTriples:
 
     def test_matches_gold_ntriples(self, roles_csv):
         records, _ = parse_role_csv(roles_csv)
-        from trokit.rdf_core import Graph
-
-        g = Graph()
-        g.update(role_to_triples(records[0], CFG))
+        g = build_graph([], records[:1], CFG)
         gold = (FIXTURES / "gold" / "role_record.nt").read_text(encoding="utf-8")
         assert canonical_ntriples(g) == gold
         assert len(g) == 18  # end date + owner link + related org

@@ -1,4 +1,8 @@
-"""Constraint checking: rule catalog, severities, inference."""
+"""Constraint checking: rule catalog, severities, inference.
+
+Inference is the types map ``check`` reads: ``inferred`` (conftest) is
+the graph plus a typing for each class that map gives a node.
+"""
 
 import json
 import random
@@ -19,7 +23,6 @@ from trokit import (
     builtin_vocabulary,
     canonical_ntriples,
     check,
-    infer_types,
     parse_contract_csv,
     parse_role_csv,
     parse_turtle,
@@ -27,7 +30,7 @@ from trokit import (
 from trokit.namespaces import GIST, SCHEMA
 from trokit.rdf_core import RDF_TYPE, Graph
 
-from conftest import FIXTURES
+from conftest import FIXTURES, all_triples, graph_of, inferred
 
 VOCAB = builtin_vocabulary()
 
@@ -44,7 +47,7 @@ def class_vocab(edges):
 
 def naive_fixpoint(graph: Graph, vocab: Vocabulary) -> set:
     """Reference inference: add one superclass step until nothing changes."""
-    triples = graph.triples()
+    triples = all_triples(graph)
     edges = [(c.sub, c.sup) for c in vocab.constraints if isinstance(c, SubClassOf)]
     changed = True
     while changed:
@@ -144,9 +147,8 @@ class TestRuleCatalog:
         assert "BAD-RANGE" not in rules
 
     def test_report_entries_sorted(self):
-        g = Graph()
-        for fixture in ("disjoint_clash.ttl", "unknown_term.ttl", "bad_date.ttl"):
-            g.update(load_violation(fixture).triples())
+        fixtures = ("disjoint_clash.ttl", "unknown_term.ttl", "bad_date.ttl")
+        g = graph_of(t for fixture in fixtures for t in load_violation(fixture))
         entries = check(g, VOCAB).entries
         keys = [(e.rule_id, e.focus.n3(), e.message) for e in entries]
         assert keys == sorted(keys)
@@ -169,14 +171,13 @@ class TestInferTypes:
     def test_no_edges_no_change(self):
         g = Graph()
         g.insert(Triple(S[0], RDF_TYPE, SCHEMA.Person))
-        out = infer_types(g, VOCAB)
-        assert canonical_ntriples(out) == canonical_ntriples(g)
+        assert inferred(g, VOCAB) == all_triples(g)
 
     def test_single_edge(self):
         v = class_vocab([(C[0], C[1])])
         g = Graph()
         g.insert(Triple(S[0], RDF_TYPE, C[0]))
-        out = infer_types(g, v)
+        out = inferred(g, v)
         assert Triple(S[0], RDF_TYPE, C[1]) in out
         assert len(out) == 2
 
@@ -184,24 +185,22 @@ class TestInferTypes:
         v = class_vocab([(C[0], C[1])])
         g = Graph()
         g.insert(Triple(S[0], RDF_TYPE, FOREIGN))
-        out = infer_types(g, v)
-        assert out.triples() == g.triples()
+        assert inferred(g, v) == all_triples(g)
 
     def test_input_not_mutated(self):
         v = class_vocab([(C[0], C[1])])
         g = Graph()
         g.insert(Triple(S[0], RDF_TYPE, C[0]))
         before = canonical_ntriples(g)
-        infer_types(g, v)
+        inferred(g, v)
         assert canonical_ntriples(g) == before
 
     def test_idempotent(self):
         v = class_vocab([(C[0], C[1]), (C[1], C[2])])
         g = Graph()
         g.insert(Triple(S[0], RDF_TYPE, C[0]))
-        once = infer_types(g, v)
-        twice = infer_types(once, v)
-        assert canonical_ntriples(once) == canonical_ntriples(twice)
+        once = inferred(g, v)
+        assert inferred(graph_of(once), v) == once
 
     def test_matches_naive_fixpoint_on_random_hierarchies(self):
         rng = random.Random(4242)
@@ -221,4 +220,4 @@ class TestInferTypes:
                 g.insert(Triple(subject, RDF_TYPE, cls))
             if rng.random() < 0.5:
                 g.insert(Triple(S[0], SCHEMA.name, C[0]))  # non-typing noise
-            assert infer_types(g, v).triples() == naive_fixpoint(g, v)
+            assert inferred(g, v) == naive_fixpoint(g, v)

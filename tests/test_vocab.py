@@ -1,4 +1,4 @@
-"""Vocabulary registry, subclass closure, ontology graph emission."""
+"""Vocabulary registry, subclass closures, ontology graph emission."""
 
 import random
 
@@ -6,24 +6,25 @@ import pytest
 
 from trokit import (
     Disjointness,
+    Graph,
     Iri,
     Literal,
     PropertyRange,
     RequiredProperty,
     SubClassOf,
     TermKind,
-    UnknownClassError,
+    Triple,
     VocabTerm,
     Vocabulary,
     builtin_vocabulary,
     canonical_ntriples,
     parse_turtle,
     serialize_turtle,
-    subclass_closure,
     vocabulary_graph,
 )
 from trokit.namespaces import EPO, GIST, OWL, SCHEMA, TRO, VANN
 from trokit.rdf_core import RDF_TYPE
+from trokit.validate import _types
 from trokit.vocab import ONTOLOGY_IRI
 
 
@@ -149,26 +150,22 @@ class TestVocabularyInvariants:
 
 
 class TestSubclassClosure:
+    """``Vocabulary._closures``, each class's closure, which check widens every typing by."""
+
     def test_reflexive_when_no_superclass(self):
         v = hierarchy_vocab([], extra=[C[0]])
-        assert subclass_closure(v, C[0]) == {C[0]}
+        assert v._closures[C[0]] == {C[0]}
 
     def test_transitive_chain(self):
         v = hierarchy_vocab([(C[0], C[1]), (C[1], C[2])])
-        assert subclass_closure(v, C[0]) == {C[0], C[1], C[2]}
-
-    def test_unknown_class_error(self):
-        v = builtin_vocabulary()
-        with pytest.raises(UnknownClassError):
-            subclass_closure(v, Iri("http://example.org/Nope"))
-        with pytest.raises(UnknownClassError):
-            subclass_closure(v, TRO.roleOf)  # a property, not a class
+        assert v._closures[C[0]] == {C[0], C[1], C[2]}
 
     def test_matches_reachability_oracle_on_builtin(self):
         v = builtin_vocabulary()
         edges = v.subclass_edges()
+        assert set(v._closures) == {term.iri for term in v.classes()}
         for term in v.classes():
-            assert subclass_closure(v, term.iri) == reachable(edges, term.iri)
+            assert v._closures[term.iri] == reachable(edges, term.iri)
 
     def test_matches_reachability_oracle_on_random_dags(self):
         rng = random.Random(99)
@@ -184,24 +181,27 @@ class TestSubclassClosure:
             v = hierarchy_vocab(edges, extra=nodes)
             raw = v.subclass_edges()
             for node in nodes:
-                assert subclass_closure(v, node) == reachable(raw, node)
+                assert v._closures[node] == reachable(raw, node)
 
     def test_returns_a_fresh_set(self):
+        # each node of the types map gets its own set, so widening one leaves the closure as it was
         v = hierarchy_vocab([(C[0], C[1])])
-        subclass_closure(v, C[0]).add(C[5])
-        assert subclass_closure(v, C[0]) == {C[0], C[1]}
+        g = Graph()
+        g.insert(Triple(C[9], RDF_TYPE, C[0]))
+        _types(g, v)[C[9]].add(C[5])
+        assert v._closures[C[0]] == {C[0], C[1]}
+        assert _types(g, v) == {C[9]: {C[0], C[1]}}
 
     def test_class_below_a_property_reaches_it(self):
         prop = VocabTerm(C[1], TermKind.OBJECT_PROPERTY, "p", "a property")
         v = Vocabulary(terms={C[0]: make_class(C[0]), C[1]: prop}, constraints=(SubClassOf(C[0], C[1]),))
-        assert subclass_closure(v, C[0]) == {C[0], C[1]}
-        with pytest.raises(UnknownClassError):
-            subclass_closure(v, C[1])
+        assert v._closures[C[0]] == {C[0], C[1]}
+        assert C[1] not in v._closures  # a property has no closure: a typing by it stands for itself
 
     def test_monotone_under_new_edges(self):
         v1 = hierarchy_vocab([(C[0], C[1])], extra=[C[2]])
         v2 = hierarchy_vocab([(C[0], C[1]), (C[1], C[2])])
-        assert subclass_closure(v1, C[0]) <= subclass_closure(v2, C[0])
+        assert v1._closures[C[0]] <= v2._closures[C[0]]
 
 
 class TestVocabularyGraph:
