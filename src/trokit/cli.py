@@ -3,7 +3,8 @@
 Exit codes follow CI conventions: 0 success, 1 the graph has
 validation ERRORs, 2 usage, I/O, or parse failure. WARN and INFO
 findings never fail a run. A located error names its file, as
-``error: <path>:<line>:<column>: <message>`` (CSV: no column).
+``error: <path>:<line>:<column>: <message>`` (CSV: no column), and so
+does a byte that is not UTF-8; an output error names ``--out`` as given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .ingest import (
     parse_role_csv,
 )
 from .minting import MintConfig
-from .rdf_core import Graph, Iri, ParseError, canonical_ntriples, parse_turtle, serialize_turtle
+from .rdf_core import Iri, ParseError, canonical_ntriples, parse_turtle, serialize_turtle
 from .validate import Severity, check
 from .vocab import builtin_vocabulary, vocabulary_graph
 
@@ -65,8 +66,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str, parse):
+    """``parse`` of the UTF-8 text of ``path``; an error in the file becomes a ValueError that names it."""
+    try:
+        return parse(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:  # columns count code points from 1, as ParseError's do
+        data = exc.object
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        col = len(data[line_start : exc.start].decode("utf-8")) + 1
+        raise ValueError(f"{path}:{line}:{col}: not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02X})") from None
+    except ParseError as exc:
+        raise ValueError(f"{path}:{exc.line}:{exc.col}: {exc.message}") from None
+    except CsvSyntaxError as exc:
+        raise ValueError(f"{path}:{exc.line}: {exc.message}") from None
+    except HeaderMismatchError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -82,6 +97,9 @@ def _write(path: str, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, target)
+    except OSError as exc:  # name the path given, not the temporary file
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -93,26 +111,10 @@ def _print_ingest_report(label: str, report: IngestReport, out) -> None:
         print(f"  row {row.line}: {row.reason}", file=out)
 
 
-def _read_csv(path: str, parse):
-    try:
-        return parse(_read(path))
-    except CsvSyntaxError as exc:
-        raise ValueError(f"{path}:{exc.line}: {exc.message}") from None
-    except HeaderMismatchError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_graph(path: str) -> Graph:
-    try:
-        return parse_turtle(_read(path))
-    except ParseError as exc:
-        raise ValueError(f"{path}:{exc.line}:{exc.col}: {exc.message}") from None
-
-
 def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
     cfg = MintConfig(Iri(args.base))
-    contracts, contract_report = _read_csv(args.contracts, parse_contract_csv)
-    roles, role_report = _read_csv(args.roles, parse_role_csv)
+    contracts, contract_report = _read(args.contracts, parse_contract_csv)
+    roles, role_report = _read(args.roles, parse_role_csv)
     graph = build_graph(contracts, roles, cfg)
     _write(args.out, serialize_turtle(graph))
     _print_ingest_report("contracts", contract_report, out)
@@ -122,7 +124,7 @@ def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace, out, err) -> int:
-    graph = _read_graph(args.in_path)
+    graph = _read(args.in_path, parse_turtle)
     report = check(graph, builtin_vocabulary())
     if args.report_format == "json":
         print(report.to_json(), file=out)
@@ -139,7 +141,7 @@ def _cmd_validate(args: argparse.Namespace, out, err) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, out, err) -> int:
-    graph = _read_graph(args.in_path)
+    graph = _read(args.in_path, parse_turtle)
     report = check(graph, builtin_vocabulary())
     if report.max_severity() == Severity.ERROR:
         print(report.to_text(), file=err)
@@ -159,11 +161,8 @@ def _cmd_vocab(args: argparse.Namespace, out, err) -> int:
 
 
 def _cmd_export(args: argparse.Namespace, out, err) -> int:
-    graph = _read_graph(args.in_path)
-    if args.format == "turtle":
-        _write(args.out, serialize_turtle(graph))
-    else:
-        _write(args.out, canonical_ntriples(graph))
+    graph = _read(args.in_path, parse_turtle)
+    _write(args.out, serialize_turtle(graph) if args.format == "turtle" else canonical_ntriples(graph))
     print(f"wrote {len(graph)} triples to {args.out}", file=out)
     return 0
 

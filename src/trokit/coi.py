@@ -18,13 +18,13 @@ A role's dates form a ``util.Interval``: closed, and a missing end date
 means the role is ongoing and the interval extends forever. A role
 pair's overlap is ``Interval.intersect``.
 
-Both patterns are indexed joins, not scans. Each call sorts the usable
-contracts by award date once and groups them by awarding org and by
-ordered (awardedBy, awardedTo) org pair, and groups ownership and
-affiliation links by person. A role's interval (or a role pair's
-overlap) is bisected into the matching date-sorted list, so a call
-costs O((roles + role pairs) · log contracts + hits) instead of
-roles × contracts.
+Both patterns are indexed joins, not scans. Roles and contracts are read
+through ``Graph.subjects``; the usable contracts are sorted by award date
+once, into plain lists by awarding org and by ordered (awardedBy,
+awardedTo) org pair, and ownership and affiliation links are grouped by
+person. A role's interval (or a role pair's overlap) is bisected into
+the matching list, so a call costs O((roles + role pairs) · log
+contracts + hits) instead of roles × contracts.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ def _iris(values) -> list[Iri]:
     return [o for o in values if isinstance(o, Iri)]
 
 
-def _subjects(graph: Graph, prop: Iri) -> set:
-    """Every subject of ``prop``, read straight from the POS index."""
-    return {s for subjects in graph._pos.get(prop, {}).values() for s in subjects}
-
-
 @dataclass(frozen=True, slots=True)
 class _Role:
     iri: Iri
@@ -125,9 +120,12 @@ class _Contract:
     evidence: frozenset[Iri]
 
 
+_AWARD_DATE = attrgetter("award_date")
+
+
 def _collect_roles(graph: Graph) -> list[_Role]:
     roles = []
-    for role in _subjects(graph, TRO.roleOf):
+    for role in graph.subjects(TRO.roleOf):
         if not isinstance(role, Iri):
             continue
         po = graph._spo[role]
@@ -143,7 +141,7 @@ def _collect_roles(graph: Graph) -> list[_Role]:
 
 def _collect_contracts(graph: Graph) -> list[_Contract]:
     contracts = []
-    for node in _subjects(graph, EPO.awardDate):
+    for node in graph.subjects(EPO.awardDate):
         if not isinstance(node, Iri):
             continue
         po = graph._spo[node]
@@ -172,36 +170,23 @@ def _linked_orgs(graph: Graph) -> dict[Iri, set[Iri]]:
     return links
 
 
-class _ByDate:
-    """Contracts in award-date order, with their dates alongside for bisect."""
-
-    __slots__ = ("dates", "contracts")
-
-    def __init__(self) -> None:
-        self.dates: list[date] = []
-        self.contracts: list[_Contract] = []
-
-    def append(self, contract: _Contract) -> None:
-        self.dates.append(contract.award_date)
-        self.contracts.append(contract)
-
-    def within(self, interval: Interval) -> list[_Contract]:
-        """The contracts awarded inside the closed ``interval``."""
-        lo = bisect_left(self.dates, interval.start)
-        hi = len(self.dates) if interval.end is None else bisect_right(self.dates, interval.end)
-        return self.contracts[lo:hi]
-
-
 def _index_contracts(contracts: list[_Contract]):
-    """Date-sorted contract lists by awarding org and by (awardedBy, awardedTo) pair."""
-    by_org: dict[Iri, _ByDate] = {}
-    by_pair: dict[tuple[Iri, Iri], _ByDate] = {}
-    for contract in sorted(contracts, key=attrgetter("award_date")):
+    """Award-date-sorted contract lists by awarding org and by (awardedBy, awardedTo) pair."""
+    by_org: dict[Iri, list[_Contract]] = {}
+    by_pair: dict[tuple[Iri, Iri], list[_Contract]] = {}
+    for contract in sorted(contracts, key=_AWARD_DATE):
         for awarder in contract.awarded_by:
-            by_org.setdefault(awarder, _ByDate()).append(contract)
+            by_org.setdefault(awarder, []).append(contract)
             for winner in contract.awarded_to:
-                by_pair.setdefault((awarder, winner), _ByDate()).append(contract)
+                by_pair.setdefault((awarder, winner), []).append(contract)
     return by_org, by_pair
+
+
+def _within(contracts: list[_Contract], interval: Interval) -> list[_Contract]:
+    """The award-date-sorted ``contracts`` awarded inside the closed ``interval``."""
+    lo = bisect_left(contracts, interval.start, key=_AWARD_DATE)
+    hi = len(contracts) if interval.end is None else bisect_right(contracts, interval.end, key=_AWARD_DATE)
+    return contracts[lo:hi]
 
 
 def detect_conflicts(graph: Graph) -> list[Finding]:
@@ -214,9 +199,9 @@ def detect_conflicts(graph: Graph) -> list[Finding]:
     for role in roles:
         linked = links.get(role.person)
         awarded = by_org.get(role.org)
-        if not linked or awarded is None:
+        if not linked or not awarded:
             continue
-        for contract in awarded.within(role.interval):
+        for contract in _within(awarded, role.interval):
             for winner in contract.awarded_to:
                 if winner in linked:
                     findings.add(
@@ -245,7 +230,7 @@ def detect_conflicts(graph: Graph) -> list[Finding]:
                 contract
                 for pair in ((r1.org, r2.org), (r2.org, r1.org))
                 if pair in by_pair
-                for contract in by_pair[pair].within(overlap)
+                for contract in _within(by_pair[pair], overlap)
             ]
             if witnesses:
                 findings.add(

@@ -8,9 +8,9 @@ predicate. Terms sort as strings, by their N-Triples text, and results are
 sorted by subject, predicate, object, so their order is deterministic;
 ``subjects``, ``objects`` and ``value`` read one index column.
 
-trokit's own modules (coi, validate, turtle, ntriples) read the indexes
-directly: ``_spo[s][p]`` and ``_pos[p][o]`` are unsorted, non-empty
-sets, so ``p in _spo[s]`` means s has a p value.
+coi and validate take every subject of a predicate from ``subjects``; else
+trokit's modules read the indexes directly: ``_spo[s][p]`` and ``_pos[p][o]``
+are unsorted, non-empty sets, so ``p in _spo[s]`` means s has a p value.
 """
 
 from __future__ import annotations

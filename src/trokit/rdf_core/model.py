@@ -32,10 +32,13 @@ _ESCAPES = {chr(c): "\\u%04X" % c for c in (*range(0x20), 0x7F)} | {
     "\f": "\\f",
     "\r": "\\r",
 }
-_NEEDS_ESCAPE_RE = re.compile(r'[\x00-\x1f"\\\x7f]')
+_MAPPED = r'\x00-\x1f"\\\x7f'  # the characters _ESCAPES maps, as the body of a regex class
+_NEEDS_ESCAPE_RE = re.compile(f"[{_MAPPED}]")
 # any ECHAR or UCHAR (Turtle's set, a superset of the canonical one), undone by _unescape
 _ESCAPE_RE = re.compile(r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _UNESCAPES = {esc: char for char, esc in _ESCAPES.items() if len(esc) == 2} | {"\\'": "'"}
+# a body as escape_literal writes one: no character that _ESCAPES maps, and only the escapes it writes
+_CANONICAL_RE = re.compile(rf"[^{_MAPPED}]*(?:(?:{'|'.join(map(re.escape, _ESCAPES.values()))})[^{_MAPPED}]*)*")
 
 
 def escape_literal(text: str) -> str:
@@ -46,6 +49,11 @@ def escape_literal(text: str) -> str:
 def _unescape(text: str) -> str:
     """The text with its escapes undone."""
     return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m[0]) or chr(int(m[0][2:], 16)), text) if "\\" in text else text
+
+
+def canonical_escapes(written: str) -> str:
+    """``escape_literal(_unescape(written))`` for a Turtle-escaped body, worked out only if it is not ``written``."""
+    return written if _CANONICAL_RE.fullmatch(written) else escape_literal(_unescape(written))
 
 
 class _Term(str):

@@ -28,6 +28,8 @@ Each parse memoises terms by text (IRIREF body or prefixed-name expansion;
 string body, datatype, language) and IRI tokens until a prefix is bound: a
 term is validated once, a repeated one is one object, and the memos die
 with the parse. Triples go in through ``Graph._add``, with no ``Triple``.
+A string body goes through ``model.canonical_escapes``: ``model``, which
+owns the canonical escapes, decides whether the body already has them.
 
 The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
@@ -56,7 +58,7 @@ from .model import (
     Literal,
     Term,
     _unescape,
-    escape_literal,
+    canonical_escapes,
 )
 
 
@@ -130,8 +132,6 @@ _NUMBER_RE = re.compile(r"[+\-]?[0-9]*(?:\.[0-9]+)?")
 _EXPONENT_RE = re.compile(r"[eE][+\-]?[0-9]")
 _HEX_RUN_RE = re.compile(f"{_HEX}*")
 _TRIVIA_RE = re.compile(_TRIVIA)
-# what a string body holds that canonical N-Triples would write otherwise: a raw control, quote or DEL, or another escape
-_NOT_CANONICAL_RE = re.compile(r'[\x00-\x1f"\x7f]|\\(?![btnfr"\\]|u00(?:0[0-7BEF]|1[0-9A-F]|7F))')
 _UNSUPPORTED = {
     "'": "single-quoted strings are not supported",
     "(": "collections are not supported",
@@ -281,10 +281,8 @@ def _literal(text: str, m: re.Match, key: tuple[str, Iri, str | None], terms: di
     lit = terms.get(key)
     if lit is None:
         body, datatype, language = key
-        if _NOT_CANONICAL_RE.search(body):  # else the body is already the literal's escaped lexical form
-            body = escape_literal(_unescape(body))
         try:
-            lit = terms[key] = Literal._escaped(body, datatype, language)
+            lit = terms[key] = Literal._escaped(canonical_escapes(body), datatype, language)
         except ValueError as exc:
             _late(text, m, str(exc))
     return lit

@@ -155,12 +155,12 @@ def _bad_date(graph: Graph, types, vocab: Vocabulary):
 
 
 def _interval_order(graph: Graph, types, vocab: Vocabulary):
-    for node, po in graph._spo.items():
-        if TRO.startDate in po:
-            starts = [d for d in xsd_dates(po[TRO.startDate]) if d is not None]
-            ends = [d for d in xsd_dates(po.get(TRO.endDate, ())) if d is not None]
-            if any(end < start for start in starts for end in ends):
-                yield node, "end date precedes start date"
+    for node in graph.subjects(TRO.startDate):
+        po = graph._spo[node]
+        starts = [d for d in xsd_dates(po[TRO.startDate]) if d is not None]
+        ends = [d for d in xsd_dates(po.get(TRO.endDate, ())) if d is not None]
+        if any(end < start for start in starts for end in ends):
+            yield node, "end date precedes start date"
 
 
 def _unknown_term(graph: Graph, types, vocab: Vocabulary):

@@ -158,6 +158,26 @@ class TestIngest:
         assert code == 2 and out == ""
         assert err == f"error: {contracts}:3: field larger than field limit (131072)\n"
         assert "Traceback" not in err
+
+    def test_a_csv_that_is_not_utf8_is_a_located_error(self, pipeline_ttl):
+        """A Latin-1 byte is reported at its line and its column in code points, not bytes."""
+        lines = (FIXTURES / "contracts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        contract_id, rest = lines[2].split(",", 1)
+        contracts = pipeline_ttl.parent / "latin1.csv"
+        contracts.write_bytes(
+            "".join(lines[:2]).encode("utf-8") + f"{contract_id},Año Caf".encode("utf-8") + b"\xe9 " + rest.encode("utf-8")
+        )
+        before = pipeline_ttl.read_bytes()
+        code, out, err = invoke(
+            "ingest",
+            "--contracts", str(contracts),
+            "--roles", str(pipeline_ttl.parent / "roles.csv"),
+            "--out", str(pipeline_ttl),
+        )
+        assert code == 2 and out == ""
+        col = len(f"{contract_id},Año Caf") + 1
+        assert err == f"error: {contracts}:3:{col}: not UTF-8: invalid continuation byte (byte 0xE9)\n"
+        assert pipeline_ttl.read_bytes() == before
         assert pipeline_ttl.read_bytes() == before
 
 
@@ -266,6 +286,14 @@ class TestAtomicWrites:
         assert out_file.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["contracts.csv", "graph.nt", "graph.ttl", "roles.csv"]
 
+    def test_output_error_names_the_path_given(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke("vocab", "--out", os.path.join("missing_dir", "v.ttl"))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {os.path.join('missing_dir', 'v.ttl')!r}\n"
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_device_is_written_in_place(self, pipeline_ttl):
         assert invoke("export", "--in", str(pipeline_ttl), "--out", os.devnull)[0] == 0
         assert not Path(os.devnull).is_file()
@@ -297,6 +325,20 @@ class TestUsage:
         code, out, err = invoke(*argv)
         assert code == 2 and out == ""
         assert err == f"error: {bad}:3:1: expected '.' at end of statement, found IRI\n"
+        assert out_file.read_text(encoding="utf-8") == "earlier\n"
+
+    @pytest.mark.parametrize("command", ["validate", "detect", "export"])
+    def test_turtle_that_is_not_utf8_is_a_located_error(self, tmp_path, command):
+        bad = tmp_path / "latin1.ttl"
+        before_bad = '<http://e.org/a> <http://e.org/p> "ñ" .\n<http://e.org/b> <http://e.org/p> "ñ '
+        bad.write_bytes(before_bad.encode("utf-8") + b'\xe9t\xe9" .\n')
+        out_file = tmp_path / "out"
+        out_file.write_text("earlier\n", encoding="utf-8")
+        argv = [command, "--in", str(bad)] + (["--out", str(out_file)] if command != "validate" else [])
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        col = len(before_bad.split("\n")[1]) + 1
+        assert err == f"error: {bad}:2:{col}: not UTF-8: invalid continuation byte (byte 0xE9)\n"
         assert out_file.read_text(encoding="utf-8") == "earlier\n"
 
     def test_missing_file(self, tmp_path):

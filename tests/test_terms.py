@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trokit import BlankNode, Iri, Literal, parse_turtle
 from trokit.rdf_core import RDF_LANG_STRING, XSD_DATE, XSD_INTEGER, XSD_STRING
+from trokit.rdf_core.model import _unescape, canonical_escapes, escape_literal
 
 # every C0 control, DEL and the two characters with their own escapes, besides
 # any other non-surrogate character, so escaping is exercised on every draw
@@ -127,6 +128,55 @@ class TestParsedSpellings:
         graph = parse_turtle(f'<http://x/s> <http://x/p> "{body}"{"@" + tag if tag else ""} .\n')
         (obj,) = graph.objects(Iri("http://x/s"), Iri("http://x/p"))
         assert obj == Literal(lexical, language=tag) and obj.lexical == lexical
+
+
+# Turtle's ECHARs: the canonical ones plus \'
+_TURTLE_ECHARS = {**_ECHARS, "'": "\\'"}
+_UCHAR_FORMS = ("\\u%04X", "\\u%04x", "\\U%08X", "\\U%08x")
+
+
+def written_forms():
+    """Each ECHAR, each UCHAR of U+0000..U+00FF in both hex cases, and each raw C0 control, DEL and quote."""
+    yield from _TURTLE_ECHARS.values()
+    for code in range(0x100):
+        for form in _UCHAR_FORMS:
+            yield form % code
+    yield from (chr(c) for c in (*range(0x20), 0x7F))
+    yield '"'
+
+
+def uchar(form: str, ch: str) -> str:
+    """ch as a UCHAR in form, or as \\U when it lies beyond \\u's reach."""
+    return (form if ord(ch) <= 0xFFFF else "\\U%08X") % ord(ch)
+
+
+class TestCanonicalEscapes:
+    """canonical_escapes skips re-escaping a body it finds canonical; it must agree with the full rewrite."""
+
+    def test_every_escape_and_raw_control_agrees_with_the_rewrite(self):
+        for form in written_forms():
+            # alone, between plain text, and after an escaped backslash, which must not pair with it
+            for written in (form, "a" + form + "b", "\\\\" + form, form + form):
+                assert canonical_escapes(written) == escape_literal(_unescape(written)), written
+
+    def test_a_canonical_body_is_returned_as_is(self):
+        for ch in (*map(chr, range(0x20)), "\x7f", '"', "\\", "é"):
+            for escaped in (escape_literal(ch), escape_literal("a" + ch * 2 + "u0001")):
+                assert canonical_escapes(escaped) is escaped
+
+    @given(
+        st.lists(
+            st.one_of(
+                _CHARS.filter(lambda ch: ch != "\\"),
+                st.sampled_from(sorted(_TURTLE_ECHARS.values())),
+                st.builds(uchar, st.sampled_from(_UCHAR_FORMS), _CHARS),
+            ),
+            max_size=20,
+        )
+    )
+    def test_mixed_bodies_agree_with_the_rewrite(self, parts):
+        written = "".join(parts)
+        assert canonical_escapes(written) == escape_literal(_unescape(written))
 
 
 class TestTermsAreStrings:
