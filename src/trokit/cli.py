@@ -67,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str, parse):
-    """``parse`` of the UTF-8 text of ``path``; an error in the file becomes a ValueError that names it."""
+    """``parse`` of the UTF-8 text of ``path``, newlines read as ``read_text`` reads them; errors name the file."""
     try:
-        return parse(Path(path).read_bytes().decode("utf-8"))
+        return parse(Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8"))
     except UnicodeDecodeError as exc:  # columns count code points from 1, as ParseError's do
         data = exc.object
         line_start = data.rfind(b"\n", 0, exc.start) + 1

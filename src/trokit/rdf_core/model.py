@@ -32,7 +32,7 @@ _ESCAPES = {chr(c): "\\u%04X" % c for c in (*range(0x20), 0x7F)} | {
     "\f": "\\f",
     "\r": "\\r",
 }
-_MAPPED = r'\x00-\x1f"\\\x7f'  # the characters _ESCAPES maps, as the body of a regex class
+_MAPPED = re.escape("".join(_ESCAPES))  # the characters _ESCAPES maps, as the body of a regex class
 _NEEDS_ESCAPE_RE = re.compile(f"[{_MAPPED}]")
 # any ECHAR or UCHAR (Turtle's set, a superset of the canonical one), undone by _unescape
 _ESCAPE_RE = re.compile(r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")

@@ -158,6 +158,7 @@ class TestIngest:
         assert code == 2 and out == ""
         assert err == f"error: {contracts}:3: field larger than field limit (131072)\n"
         assert "Traceback" not in err
+        assert pipeline_ttl.read_bytes() == before
 
     def test_a_csv_that_is_not_utf8_is_a_located_error(self, pipeline_ttl):
         """A Latin-1 byte is reported at its line and its column in code points, not bytes."""
@@ -178,7 +179,22 @@ class TestIngest:
         col = len(f"{contract_id},Año Caf") + 1
         assert err == f"error: {contracts}:3:{col}: not UTF-8: invalid continuation byte (byte 0xE9)\n"
         assert pipeline_ttl.read_bytes() == before
-        assert pipeline_ttl.read_bytes() == before
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_csv_line_ends_do_not_change_the_graph(self, tmp_path, contracts_csv, roles_csv, newline):
+        """A quoted field that spans lines reads as it does with LF line ends."""
+        contracts_csv = contracts_csv.replace("IT consulting", '"IT\nconsulting"')
+        outputs = []
+        for end in ("\n", newline):
+            contracts, roles = tmp_path / "contracts.csv", tmp_path / "roles.csv"
+            contracts.write_bytes(contracts_csv.replace("\n", end).encode("utf-8"))
+            roles.write_bytes(roles_csv.replace("\n", end).encode("utf-8"))
+            graph = tmp_path / "graph.ttl"
+            code, _, err = invoke("ingest", "--contracts", str(contracts), "--roles", str(roles), "--out", str(graph))
+            assert code == 0, err
+            outputs.append(graph.read_bytes())
+        assert b'"IT\\nconsulting"' in outputs[0]
+        assert outputs[1] == outputs[0]
 
 
 class TestValidate:
@@ -271,6 +287,20 @@ class TestVocabAndExport:
         b = parse_turtle(out_file.read_text(encoding="utf-8"))
         assert canonical_ntriples(a) == canonical_ntriples(b)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_turtle_line_ends_do_not_change_the_output(self, tmp_path, newline):
+        """A long string that spans lines reads as it does with LF line ends."""
+        ttl = '@prefix e: <http://e.org/> .\ne:a e:p """one\ntwo""" ;\n    e:q "x" .\n'
+        outputs = []
+        for end in ("\n", newline):
+            source, out_file = tmp_path / "in.ttl", tmp_path / "out.nt"
+            source.write_bytes(ttl.replace("\n", end).encode("utf-8"))
+            code, _, err = invoke("export", "--in", str(source), "--out", str(out_file))
+            assert code == 0, err
+            outputs.append(out_file.read_bytes())
+        assert b'"one\\ntwo"' in outputs[0]
+        assert outputs[1] == outputs[0]
+
 
 class TestAtomicWrites:
     def test_failed_write_keeps_earlier_output(self, pipeline_ttl, tmp_path, monkeypatch):
@@ -310,35 +340,37 @@ class TestAtomicWrites:
 
 
 class TestUsage:
-    @pytest.mark.parametrize("command", ["validate", "detect", "export"])
-    def test_turtle_error_names_file_line_and_column(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, content, where",
+        [
+            pytest.param(command, content, where, id=command + case)
+            for case, content, where in [
+                (
+                    "",
+                    b'<http://e.org/a> <http://e.org/p> "x" .\n'
+                    b'<http://e.org/b> <http://e.org/p> "y"\n'
+                    b'<http://e.org/c> <http://e.org/p> "z" .\n',
+                    "3:1: expected '.' at end of statement, found IRI",
+                ),
+                (  # a Latin-1 byte after a CRLF line end; the column counts code points, not bytes
+                    "-not-utf8",
+                    '<http://e.org/a> <http://e.org/p> "ñ" .\r\n<http://e.org/b> <http://e.org/p> "ñ '.encode("utf-8")
+                    + b'\xe9t\xe9" .\n',
+                    "2:38: not UTF-8: invalid continuation byte (byte 0xE9)",
+                ),
+            ]
+            for command in ["validate", "detect", "export"]
+        ],
+    )
+    def test_turtle_error_names_file_line_and_column(self, tmp_path, command, content, where):
         bad = tmp_path / "bad.ttl"
-        bad.write_text(
-            '<http://e.org/a> <http://e.org/p> "x" .\n'
-            '<http://e.org/b> <http://e.org/p> "y"\n'
-            '<http://e.org/c> <http://e.org/p> "z" .\n',
-            encoding="utf-8",
-        )
+        bad.write_bytes(content)
         out_file = tmp_path / "out"
         out_file.write_text("earlier\n", encoding="utf-8")
         argv = [command, "--in", str(bad)] + (["--out", str(out_file)] if command != "validate" else [])
         code, out, err = invoke(*argv)
         assert code == 2 and out == ""
-        assert err == f"error: {bad}:3:1: expected '.' at end of statement, found IRI\n"
-        assert out_file.read_text(encoding="utf-8") == "earlier\n"
-
-    @pytest.mark.parametrize("command", ["validate", "detect", "export"])
-    def test_turtle_that_is_not_utf8_is_a_located_error(self, tmp_path, command):
-        bad = tmp_path / "latin1.ttl"
-        before_bad = '<http://e.org/a> <http://e.org/p> "ñ" .\n<http://e.org/b> <http://e.org/p> "ñ '
-        bad.write_bytes(before_bad.encode("utf-8") + b'\xe9t\xe9" .\n')
-        out_file = tmp_path / "out"
-        out_file.write_text("earlier\n", encoding="utf-8")
-        argv = [command, "--in", str(bad)] + (["--out", str(out_file)] if command != "validate" else [])
-        code, out, err = invoke(*argv)
-        assert code == 2 and out == ""
-        col = len(before_bad.split("\n")[1]) + 1
-        assert err == f"error: {bad}:2:{col}: not UTF-8: invalid continuation byte (byte 0xE9)\n"
+        assert err == f"error: {bad}:{where}\n"
         assert out_file.read_text(encoding="utf-8") == "earlier\n"
 
     def test_missing_file(self, tmp_path):
