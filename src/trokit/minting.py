@@ -11,7 +11,7 @@ role IRI machine-splittable.
 
 from __future__ import annotations
 
-import re
+import string
 import unicodedata
 from dataclasses import dataclass
 from datetime import date
@@ -22,8 +22,8 @@ from .util import Interval
 
 ENTITY_KINDS = ("person", "org", "contract", "evidence")
 
-_SLUG_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
-_NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
+# bytes.translate table: a-z and 0-9 stay, every other byte becomes a space
+_SEPARATORS = bytes(c if chr(c) in string.ascii_lowercase + string.digits else 32 for c in range(256))
 
 
 class EmptySlugError(ValueError):
@@ -50,11 +50,14 @@ def normalize_name(raw: str) -> str:
     """
     folded = raw  # ASCII is its own NFKD form and holds no combining marks
     if not raw.isascii():
-        folded = "".join(ch for ch in unicodedata.normalize("NFKD", raw) if not unicodedata.combining(ch))
-    slug = _NON_ALNUM_RE.sub("-", folded.lower()).strip("-")
+        folded = unicodedata.normalize("NFKD", raw)
+        for ch in set(folded):  # one C-speed pass per distinct mark, not a Python step per character
+            if unicodedata.combining(ch):
+                folded = folded.replace(ch, "")
+    # every character outside [a-z0-9] (a non-ASCII one encodes as '?') becomes a space, and split drops the runs
+    slug = b"-".join(folded.lower().encode("ascii", "replace").translate(_SEPARATORS).split()).decode("ascii")
     if not slug:
         raise EmptySlugError(f"no alphanumeric content in {raw!r}")
-    assert _SLUG_RE.match(slug)
     return slug
 
 

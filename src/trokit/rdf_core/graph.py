@@ -9,8 +9,11 @@ sorted by subject, predicate, object, so their order is deterministic;
 ``subjects``, ``objects`` and ``value`` read one index column.
 
 coi and validate take every subject of a predicate from ``subjects``; else
-trokit's modules read the indexes directly: ``_spo[s][p]`` and ``_pos[p][o]``
-are unsorted, non-empty sets, so ``p in _spo[s]`` means s has a p value.
+trokit's modules read the indexes directly: a leaf, ``_spo[s][p]`` or
+``_pos[p][o]``, is unsorted and never empty, so ``p in _spo[s]`` means s has
+a p value. Most leaves hold one term, so ``_add`` makes a leaf the 1-tuple
+``(term,)``, a fifth the size of a set, and a set once it holds two terms;
+readers only iterate, test ``in`` and take ``len``, which both shapes answer.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ class Graph:
     """A set of triples plus a prefix map used only for serialization."""
 
     def __init__(self, prefixes: dict[str, Iri] | None = None) -> None:
-        self._spo: dict[Iri | BlankNode, dict[Iri, set[Term]]] = {}
-        self._pos: dict[Iri, dict[Term, set[Iri | BlankNode]]] = {}
+        self._spo: dict[Iri | BlankNode, dict[Iri, tuple[Term] | set[Term]]] = {}
+        self._pos: dict[Iri, dict[Term, tuple[Iri | BlankNode] | set[Iri | BlankNode]]] = {}
         self._size = 0
         self.prefixes: dict[str, Iri] = dict(prefixes) if prefixes else {}
 
@@ -44,12 +47,24 @@ class Graph:
         return self._add(triple.subject, triple.predicate, triple.object)
 
     def _add(self, s: Iri | BlankNode, p: Iri, o: Term) -> bool:
-        """The one insert body (insert's and the Turtle parser's); (s, p, o) must form a valid Triple."""
-        objs = self._spo.setdefault(s, {}).setdefault(p, set())
+        """The one insert body (insert's and the Turtle parser's); (s, p, o) must form a valid Triple.
+
+        A new leaf is the 1-tuple of its term; a second distinct term turns it into a set.
+        """
+        po = self._spo.setdefault(s, {})
+        objs = po.get(p, ())
         if o in objs:
             return False
-        objs.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        if type(objs) is set:
+            objs.add(o)
+        else:
+            po[p] = {objs[0], o} if objs else (o,)
+        by_object = self._pos.setdefault(p, {})
+        subjs = by_object.get(o, ())  # s is not in it: the triple is new
+        if type(subjs) is set:
+            subjs.add(s)
+        else:
+            by_object[o] = {subjs[0], s} if subjs else (s,)
         self._size += 1
         return True
 

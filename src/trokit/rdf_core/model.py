@@ -121,10 +121,9 @@ class Literal(_Term):
                 raise ValueError(f"malformed language tag: {language!r}")
             if datatype not in (XSD_STRING, RDF_LANG_STRING):
                 raise ValueError("a language-tagged literal must have datatype rdf:langString")
-            return str.__new__(cls, '"' + escaped + '"@' + language.lower())
-        if datatype == RDF_LANG_STRING:
+        elif datatype == RDF_LANG_STRING:
             raise ValueError("rdf:langString requires a language tag")
-        return str.__new__(cls, '"' + escaped + ('"' if datatype == XSD_STRING else '"^^' + datatype))
+        return str.__new__(cls, literal_text(escaped, datatype, language))
 
     @property
     def lexical(self) -> str:
@@ -141,6 +140,13 @@ class Literal(_Term):
     def language(self) -> str | None:
         suffix = self[self.rindex('"') + 1 :]
         return suffix[1:] if suffix[:1] == "@" else None
+
+
+def literal_text(escaped: str, datatype: Iri, language: str | None) -> str:
+    """A literal's text from its escaped body, datatype and language; checks none of them (``Literal`` does)."""
+    if language is not None:
+        return '"' + escaped + '"@' + language.lower()
+    return '"' + escaped + ('"' if datatype == XSD_STRING else '"^^' + datatype)
 
 
 class BlankNode(_Term):

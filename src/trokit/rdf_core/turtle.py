@@ -24,10 +24,10 @@ columns count code points from 1.
 Escapes must name a Unicode scalar value; a surrogate or a code point
 above U+10FFFF is a parse error at its backslash; a raw lone surrogate
 is one where it stands in a string, and at the ``<`` of an IRI.
-Each parse memoises terms by text (IRIREF body or prefixed-name expansion;
-string body, datatype, language) and IRI tokens until a prefix is bound: a
-term is validated once, a repeated one is one object, and the memos die
-with the parse. Triples go in through ``Graph._add``, with no ``Triple``.
+Each parse memoises IRIs by text (IRIREF body or prefixed-name expansion),
+literals by their own text, and IRI tokens until a prefix is bound: a term
+is validated once, a repeated one is one object, and the memos die with the
+parse. Triples go in through ``Graph._add``, with no ``Triple``.
 A string body goes through ``model.canonical_escapes``: ``model``, which
 owns the canonical escapes, decides whether the body already has them.
 
@@ -59,6 +59,7 @@ from .model import (
     Term,
     _unescape,
     canonical_escapes,
+    literal_text,
 )
 
 
@@ -276,15 +277,19 @@ def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names:
     return iri
 
 
-def _literal(text: str, m: re.Match, key: tuple[str, Iri, str | None], terms: dict) -> Literal:
-    """The Literal of (body, datatype, language), whose last token is m; body is the string as written."""
-    lit = terms.get(key)
+def _literal(text: str, m: re.Match, body: str, datatype: Iri, language: str | None, terms: dict) -> Literal:
+    """The Literal of (body, datatype, language), whose last token is m; body is the string as written.
+
+    terms holds each Literal under itself: a canonical body finds it by the text it writes,
+    and no other body writes a Literal's text.
+    """
+    lit = terms.get(literal_text(body, datatype, language))
     if lit is None:
-        body, datatype, language = key
         try:
-            lit = terms[key] = Literal._escaped(canonical_escapes(body), datatype, language)
+            lit = Literal._escaped(canonical_escapes(body), datatype, language)
         except ValueError as exc:
             _late(text, m, str(exc))
+        lit = terms.setdefault(lit, lit)
     return lit
 
 
@@ -297,7 +302,7 @@ def parse_turtle(text: str) -> Graph:
     """Parse the Turtle subset; raise ParseError with line and column."""
     graph = Graph()
     add, prefixes = graph._add, graph.prefixes
-    terms: dict = {}  # IRI text -> Iri (see _named), (string body, datatype, language) -> Literal
+    terms: dict = {}  # IRI text -> Iri (see _named), and each Literal -> itself (see _literal)
     names: dict[str, Iri] = {}  # IRIREF or prefixed-name token -> Iri, until a prefix is bound
     state = _SUBJECT
     for m in _TOKEN_RE.finditer(text):
@@ -307,7 +312,7 @@ def parse_turtle(text: str) -> Graph:
                 state = _DATATYPE
                 continue
             language = m.group(kind)[1:] if kind == "at" and _lexed(text, m, True) else None  # _lexed checks the tag
-            add(subject, verb, _literal(text, m, (body, XSD_STRING, language), terms))
+            add(subject, verb, _literal(text, m, body, XSD_STRING, language, terms))
             state = _AFTER_OBJECT
             if language is not None:
                 continue
@@ -349,7 +354,7 @@ def parse_turtle(text: str) -> Graph:
             elif kind == "blank":
                 obj = BlankNode(m.group(kind)[2:])
             elif kind == "decimal" or kind == "integer":
-                obj = _literal(text, m, (m.group(kind), XSD_DECIMAL if kind == "decimal" else XSD_INTEGER, None), terms)
+                obj = _literal(text, m, m.group(kind), XSD_DECIMAL if kind == "decimal" else XSD_INTEGER, None, terms)
             else:
                 _expected(text, m, "object (IRI, blank node or literal)")
             add(subject, verb, obj)
@@ -358,7 +363,7 @@ def parse_turtle(text: str) -> Graph:
                 datatype = names.get(m.group(kind)) or _named(text, m, prefixes, terms, names)
             else:
                 _expected(text, m, "datatype IRI")
-            add(subject, verb, _literal(text, m, (body, datatype, None), terms))
+            add(subject, verb, _literal(text, m, body, datatype, None, terms))
             state = _AFTER_OBJECT
         elif state == _SUBJECT:
             if kind == "pname" or kind == "iriref":

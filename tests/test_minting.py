@@ -73,6 +73,22 @@ class TestNormalizeName:
             for raw in (ch, f"a{ch}b", f"{ch}{ch}Z9{ch}"):
                 assert folded(raw) == nfkd_reference(raw), repr(raw)
 
+    def test_every_code_point_matches_the_nfkd_formula(self):
+        # surrogates included; EmptySlugError exactly where the formula leaves nothing
+        def slug_or_none(raw):
+            try:
+                return normalize_name(raw)
+            except EmptySlugError:
+                return None
+
+        mismatches = [
+            raw
+            for ch in map(chr, range(0x110000))
+            for raw in (f"a{ch}b", ch, f"A{ch}{ch}1")
+            if slug_or_none(raw) != (nfkd_reference(raw) or None)
+        ]
+        assert mismatches == []
+
     @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=40))
     def test_ascii_names_match_the_nfkd_formula(self, raw):
         assert folded(raw) == nfkd_reference(raw)

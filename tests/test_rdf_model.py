@@ -1,6 +1,9 @@
 """Terms, triples, and the indexed graph."""
 
+import gc
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -212,6 +215,90 @@ class TestGraph:
             shadow.add(t)
         assert len(g) == len(shadow)
         assert set(g) == shadow
+
+
+def leaves(graph):
+    """Every leaf of both indexes: each ``_spo[s][p]`` and each ``_pos[p][o]``."""
+    return [leaf for index in (graph._spo, graph._pos) for inner in index.values() for leaf in inner.values()]
+
+
+class TestLeafShape:
+    """A leaf that holds one term is the 1-tuple of it; a second distinct term makes it a set."""
+
+    B_NODE = Iri("http://example.org/b")
+
+    def test_a_second_distinct_term_turns_a_one_tuple_into_a_set(self):
+        g = Graph()
+        ana, bea, cy = Literal("Ana"), Literal("Bea"), Literal("Cy")
+        assert g.insert(Triple(A_NODE, NAME, ana))
+        assert g._spo[A_NODE][NAME] == (ana,) and g._pos[NAME][ana] == (A_NODE,)
+        assert g.insert(Triple(A_NODE, NAME, bea))  # a second object: _spo's leaf grows
+        assert g._spo[A_NODE][NAME] == {ana, bea} and g._pos[NAME][bea] == (A_NODE,)
+        assert g.insert(Triple(self.B_NODE, NAME, ana))  # a second subject: _pos's leaf grows
+        assert g._pos[NAME][ana] == {A_NODE, self.B_NODE} and g._spo[self.B_NODE][NAME] == (ana,)
+        assert g.insert(Triple(A_NODE, NAME, cy))  # a third object: the set takes it
+        assert g._spo[A_NODE][NAME] == {ana, bea, cy}
+        before = leaves(g)
+        contents = [set(leaf) for leaf in before]
+        for t in list(g):
+            assert g.insert(t) is False
+        assert len(g) == 4
+        assert all(now is then for now, then in zip(leaves(g), before, strict=True))
+        assert [set(leaf) for leaf in leaves(g)] == contents
+
+    def test_reads_on_single_and_multi_valued_leaves(self):
+        g = Graph()
+        ana, bea = Literal("Ana"), Literal("Bea")
+        single, multi = Triple(A_NODE, NAME, ana), [Triple(self.B_NODE, NAME, ana), Triple(self.B_NODE, NAME, bea)]
+        for t in [single, *multi]:
+            g.insert(t)
+        assert type(g._spo[A_NODE][NAME]) is tuple and type(g._spo[self.B_NODE][NAME]) is set
+        assert type(g._pos[NAME][bea]) is tuple and type(g._pos[NAME][ana]) is set
+        assert g.value(A_NODE, NAME) == ana and g.value(self.B_NODE, NAME) is None
+        assert g.objects(A_NODE, NAME) == [ana] and g.objects(self.B_NODE, NAME) == [ana, bea]
+        assert g.objects(None, NAME) == [ana, bea]
+        assert g.subjects(NAME, bea) == [self.B_NODE] and g.subjects(NAME, ana) == [A_NODE, self.B_NODE]
+        assert g.match(A_NODE, NAME, None) == [single] and g.match(self.B_NODE, NAME, None) == multi
+        assert g.match(None, NAME, ana) == [single, multi[0]] and g.match(None, None, bea) == [multi[1]]
+        assert all(t in g for t in [single, *multi])
+        assert Triple(A_NODE, NAME, bea) not in g and Triple(self.B_NODE, NAME, Literal("Cy")) not in g
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=40))
+    def test_reads_match_a_set_of_triples(self, picks):
+        terms = [Iri(f"http://example.org/t{i}") for i in range(4)]
+        g, reference = Graph(), set()
+        for s, p, o in picks:
+            t = Triple(terms[s], terms[p], terms[o])
+            assert g.insert(t) == (t not in reference)
+            reference.add(t)
+        assert len(g) == len(reference)
+        ordered = sorted(reference, key=Triple.sort_key)
+        for s, p, o in itertools.product([None, *terms], repeat=3):
+            expected = [t for t in ordered if s in (None, t.subject) and p in (None, t.predicate) and o in (None, t.object)]
+            assert g.match(s, p, o) == expected
+            if None not in (s, p, o):
+                assert (Triple(s, p, o) in g) == bool(expected)
+        for term in terms:
+            assert g.subjects(term) == sorted({t.subject for t in reference if t.predicate == term})
+            assert g.objects(term) == sorted({t.object for t in reference if t.subject == term})
+        assert all((type(leaf) is tuple and len(leaf) == 1) or (type(leaf) is set and len(leaf) >= 2) for leaf in leaves(g))
+
+    def test_single_valued_triples_cost_at_most_300_bytes_in_the_indexes(self):
+        subjects = [Iri(f"http://example.org/s{i}") for i in range(2000)]
+        predicates = [Iri(f"http://example.org/p{j}") for j in range(5)]
+        triples = [Triple(s, p, Literal(f"{s.value} {p.value}")) for s in subjects for p in predicates]
+        g = Graph()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for t in triples:
+                g.insert(t)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g) == 10_000
+        assert all(type(leaf) is tuple for leaf in leaves(g))
+        assert held / len(g) <= 300
 
 
 class TestCanonicalNTriples:

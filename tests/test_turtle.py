@@ -460,6 +460,17 @@ class TestTermMemo:
         assert g.objects(Iri(EX + "b"), Iri(EX + "q")).count(Literal("7", XSD_INTEGER)) == 1
         assert Literal("7", Iri(EX + "dt")) in g.objects(Iri(EX + "b"), Iri(EX + "q"))
 
+    def test_spellings_of_one_literal_are_one_object(self):
+        g = parse(
+            PREFIX_LINE
+            + 'ex:a ex:p "a\\"A", """a"A""", "a\\u0022\\u0041"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+            + 'ex:b ex:p "a\\"A" ; ex:q "a\\U00000022A", "7"^^ex:dt, "\\u0037"^^ex:dt .\n'
+        )
+        found = term_objects(g)
+        assert {t.n3() for t, ids in found.items() if len(ids) > 1} == set()
+        assert g.objects(Iri(EX + "a"), Iri(EX + "p")) == [Literal('a"A')]
+        assert g.objects(Iri(EX + "b"), Iri(EX + "q")) == [Literal("7", Iri(EX + "dt")), Literal('a"A')]
+
     def test_an_escaped_iri_equals_its_plain_spelling(self):
         g = parse(PREFIX_LINE + "ex:a ex:p <http://example.org/\\u0062>, <http://example.org/b>, ex:b .")
         assert g.objects(Iri(EX + "a"), Iri(EX + "p")) == [Iri(EX + "b")]
