@@ -5,13 +5,17 @@ validation ERRORs, 2 usage, I/O, or parse failure. WARN and INFO
 findings never fail a run. A located error names its file, as
 ``error: <path>:<line>:<column>: <message>`` (CSV: no column), and so
 does a byte that is not UTF-8; an output error names ``--out`` as given.
+Turtle and N-Triples outputs are streamed one subject at a time (see
+``_write``), so no command holds a whole graph's text.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .coi import detect_conflicts, findings_to_json
@@ -24,7 +28,9 @@ from .ingest import (
     parse_role_csv,
 )
 from .minting import MintConfig
-from .rdf_core import Iri, ParseError, canonical_ntriples, parse_turtle, serialize_turtle
+from .rdf_core import Iri, ParseError, parse_turtle
+from .rdf_core.ntriples import _ntriples_chunks
+from .rdf_core.turtle import _turtle_chunks
 from .validate import Severity, check
 from .vocab import builtin_vocabulary, vocabulary_graph
 
@@ -84,18 +90,24 @@ def _read(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write(path: str, text: str) -> None:
-    """Write text to path, replacing a regular file only once the new
-    bytes are complete, so a failed run leaves the earlier output as it
-    was. Pipes and devices such as /dev/stdout are written in place."""
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Stream chunks to path, taking the first before anything is opened, so
+    an error a writer raises before its first chunk writes nothing. A regular
+    file is replaced only once the new bytes are complete, so a failed run
+    leaves the earlier output as it was; pipes and devices such as
+    /dev/stdout are written in place, as a stream."""
+    rest = iter(chunks)
+    chunks = itertools.chain((next(rest, ""),), rest)
     target = Path(path)
     if target.exists() and not target.is_file():
-        target.write_text(text, encoding="utf-8")
+        with open(target, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
         return
     target = target.resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
         os.replace(tmp, target)
     except OSError as exc:  # name the path given, not the temporary file
         tmp.unlink(missing_ok=True)
@@ -116,7 +128,7 @@ def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
     contracts, contract_report = _read(args.contracts, parse_contract_csv)
     roles, role_report = _read(args.roles, parse_role_csv)
     graph = build_graph(contracts, roles, cfg)
-    _write(args.out, serialize_turtle(graph))
+    _write(args.out, _turtle_chunks(graph))
     _print_ingest_report("contracts", contract_report, out)
     _print_ingest_report("roles", role_report, out)
     print(f"wrote {len(graph)} triples to {args.out}", file=out)
@@ -148,21 +160,21 @@ def _cmd_detect(args: argparse.Namespace, out, err) -> int:
         print("aborting: the graph has validation errors", file=err)
         return 1
     findings = detect_conflicts(graph)
-    _write(args.out, findings_to_json(findings) + "\n")
+    _write(args.out, (findings_to_json(findings), "\n"))
     print(f"wrote {len(findings)} candidate finding(s) to {args.out}", file=out)
     return 0
 
 
 def _cmd_vocab(args: argparse.Namespace, out, err) -> int:
     graph = vocabulary_graph(builtin_vocabulary())
-    _write(args.out, serialize_turtle(graph))
+    _write(args.out, _turtle_chunks(graph))
     print(f"wrote vocabulary ({len(graph)} triples) to {args.out}", file=out)
     return 0
 
 
 def _cmd_export(args: argparse.Namespace, out, err) -> int:
     graph = _read(args.in_path, parse_turtle)
-    _write(args.out, serialize_turtle(graph) if args.format == "turtle" else canonical_ntriples(graph))
+    _write(args.out, (_turtle_chunks if args.format == "turtle" else _ntriples_chunks)(graph))
     print(f"wrote {len(graph)} triples to {args.out}", file=out)
     return 0
 

@@ -14,20 +14,13 @@ class Namespace:
     """A factory for IRIs sharing a common base; each name's IRI is built once."""
 
     def __init__(self, base: str) -> None:
-        self._base = base
+        self.base = base
         self._cache: dict[str, Iri] = {}
-
-    @property
-    def base(self) -> str:
-        return self._base
-
-    def iri(self) -> Iri:
-        return Iri(self._base)
 
     def __getitem__(self, name: str) -> Iri:
         iri = self._cache.get(name)
         if iri is None:
-            iri = self._cache[name] = Iri(self._base + name)
+            iri = self._cache[name] = Iri(self.base + name)
         return iri
 
     def __getattr__(self, name: str) -> Iri:
@@ -38,7 +31,7 @@ class Namespace:
         return iri
 
     def __repr__(self) -> str:
-        return f"Namespace({self._base!r})"
+        return f"Namespace({self.base!r})"
 
 
 RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
@@ -56,24 +49,10 @@ GIST = Namespace("https://ontologies.semanticarts.com/gist/")
 SCHEMA = Namespace("http://schema.org/")
 GR = Namespace("http://purl.org/goodrelations/v1#")
 
-_DEFAULT = {
-    "rdf": RDF,
-    "rdfs": RDFS,
-    "owl": OWL,
-    "xsd": XSD,
-    "dcterms": DCTERMS,
-    "dc": DC,
-    "vann": VANN,
-    "time": TIME,
-    "dbo": DBO,
-    "tro": TRO,
-    "epo": EPO,
-    "gist": GIST,
-    "schema": SCHEMA,
-    "gr": GR,
-}
+# each namespace above is bound to its name in lower case
+_DEFAULT = {name.lower(): ns for name, ns in list(globals().items()) if isinstance(ns, Namespace)}
 
 
 def default_prefixes() -> dict[str, Iri]:
     """A fresh prefix map for the namespaces above."""
-    return {prefix: ns.iri() for prefix, ns in _DEFAULT.items()}
+    return {prefix: Iri(ns.base) for prefix, ns in _DEFAULT.items()}

@@ -24,23 +24,25 @@ columns count code points from 1.
 Escapes must name a Unicode scalar value; a surrogate or a code point
 above U+10FFFF is a parse error at its backslash; a raw lone surrogate
 is one where it stands in a string, and at the ``<`` of an IRI.
-Each parse memoises IRIs by text (IRIREF body or prefixed-name expansion),
-literals by their own text, and IRI tokens until a prefix is bound: a term
-is validated once, a repeated one is one object, and the memos die with the
-parse. Triples go in through ``Graph._add``, with no ``Triple``.
+Each parse memoises every term under its own text, held once, and IRI
+tokens until a prefix is bound: a term is validated once, a repeated one
+is one object, and the memos die with the parse. Triples go in through
+``Graph._add``, with no ``Triple``.
 A string body goes through ``model.canonical_escapes``: ``model``, which
 owns the canonical escapes, decides whether the body already has them.
 
 The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
-all objects sorted. Parsing its output yields the original graph.
+all objects sorted. Parsing its output yields the original graph. It
+streams: the prefix block, then one chunk per subject in ``_spo`` order,
+so it holds one subject's block, never the whole text.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NoReturn
 
 from .graph import Graph
@@ -255,24 +257,25 @@ def _expected(text: str, m: re.Match, what: str, late: bool = True) -> NoReturn:
 
 
 def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names: dict) -> Iri:
-    """The Iri of an IRIREF or prefixed-name token, memoised in terms by IRIREF body or expansion."""
+    """The Iri of an IRIREF or prefixed-name token; terms holds each Iri under itself, found by its written text."""
     kind = m.lastgroup
-    if kind == "iriref":
-        body = m.group(kind)[1:-1]
-    else:  # an expansion holds no backslash, so it is its own IRIREF body
+    if kind == "iriref":  # an Iri's own text unless it holds an escape, which no Iri's text does
+        written = m.group(kind)
+    else:  # an expansion holds no backslash, so it is its Iri's text
         prefix, _, local = m.group(kind).partition(":")
         ns = prefixes.get(prefix)
         if ns is None:
             _late(text, m, f"undeclared prefix '{prefix}:'")
-        body = ns.value + local
-    iri = terms.get(body)
+        written = ns[:-1] + local + ">"
+    iri = terms.get(written)
     if iri is None:
         try:
-            iri = terms[body] = Iri(_unescape(body))
+            iri = Iri(_unescape(written[1:-1]))
         except ValueError as exc:
             if kind == "pname":  # a name is resolved once the token after it has lexed
                 _late(text, m, str(exc))
             raise _error(text, m.start(kind), str(exc)) from None
+        iri = terms.setdefault(iri, iri)
     names[m.group(kind)] = iri
     return iri
 
@@ -302,7 +305,7 @@ def parse_turtle(text: str) -> Graph:
     """Parse the Turtle subset; raise ParseError with line and column."""
     graph = Graph()
     add, prefixes = graph._add, graph.prefixes
-    terms: dict = {}  # IRI text -> Iri (see _named), and each Literal -> itself (see _literal)
+    terms: dict = {}  # each Iri and Literal -> itself (see _named and _literal)
     names: dict[str, Iri] = {}  # IRIREF or prefixed-name token -> Iri, until a prefix is bound
     state = _SUBJECT
     for m in _TOKEN_RE.finditer(text):
@@ -433,18 +436,17 @@ def _render_term(term: Term, render_iri: Callable[[str], str]) -> str:
     return term[: close + 3] + render_iri(datatype)
 
 
-def serialize_turtle(graph: Graph) -> str:
-    """Write the graph in the subset's single deterministic shape; ValueError on an unreadable prefix."""
+def _turtle_chunks(graph: Graph) -> Iterator[str]:
+    """The prefix block, then one chunk per subject; ValueError before any chunk on an unreadable prefix."""
     for prefix in graph.prefixes:
         if prefix and not _PN_PREFIX_RE.fullmatch(prefix):
             raise ValueError(f"prefix {prefix!r} is not a Turtle prefix name")
     table = _prefix_table(graph)
     render_iri = functools.cache(lambda iri: _render_iri(iri, table))  # this call's memo
-    chunks: list[str] = []
-    prefix_lines = [f"@prefix {prefix}: {graph.prefixes[prefix]} ." for prefix in sorted(graph.prefixes)]
-    if prefix_lines:
-        chunks.append("\n".join(prefix_lines))
-
+    gap = ""  # a blank line between blocks
+    if graph.prefixes:
+        yield "".join(f"@prefix {prefix}: {graph.prefixes[prefix]} .\n" for prefix in sorted(graph.prefixes))
+        gap = "\n"
     for subject in sorted(graph._spo):
         po = graph._spo[subject]
         segments = []
@@ -453,8 +455,10 @@ def serialize_turtle(graph: Graph) -> str:
             objs = ", ".join(_render_term(o, render_iri) for o in sorted(po[pred]))
             segments.append(f"{verb} {objs}")
         body = " ;\n    ".join(segments)
-        chunks.append(f"{_render_term(subject, render_iri)} {body} .")
+        yield f"{gap}{_render_term(subject, render_iri)} {body} .\n"
+        gap = "\n"
 
-    if not chunks:
-        return ""
-    return "\n\n".join(chunks) + "\n"
+
+def serialize_turtle(graph: Graph) -> str:
+    """Write the graph in the subset's single deterministic shape; ValueError on an unreadable prefix."""
+    return "".join(_turtle_chunks(graph))

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from trokit import CONTRACT_HEADER, ROLE_HEADER, canonical_ntriples, cli, parse_turtle
+from trokit import CONTRACT_HEADER, ROLE_HEADER, Iri, canonical_ntriples, cli, parse_turtle
 from trokit.cli import run
 
 from conftest import FIXTURES
@@ -307,14 +308,50 @@ class TestAtomicWrites:
         out_file = tmp_path / "graph.nt"
         assert invoke("export", "--in", str(pipeline_ttl), "--out", str(out_file))[0] == 0
         before = out_file.read_bytes()
-        # a lone surrogate cannot be encoded, so the write fails part way
-        monkeypatch.setattr(cli, "serialize_turtle", lambda graph: '<http://e.org/a> <http://e.org/p> "ok\ud800" .\n')
+        temporary = []
+
+        def fails_part_way(graph):
+            yield '<http://e.org/a> <http://e.org/p> "x" .\n' * 1000
+            temporary.extend(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp")
+            raise ValueError("the writer failed part way")
+
+        monkeypatch.setattr(cli, "_turtle_chunks", fails_part_way)
         code, _, err = invoke(
             "export", "--in", str(pipeline_ttl), "--format", "turtle", "--out", str(out_file)
         )
-        assert code == 2 and "surrogates not allowed" in err
+        assert code == 2 and err == "error: the writer failed part way\n"
+        assert len(temporary) == 1  # the first chunk went to a temporary file, not to --out
         assert out_file.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["contracts.csv", "graph.nt", "graph.ttl", "roles.csv"]
+
+    @pytest.mark.parametrize(
+        "fmt, message",
+        [
+            pytest.param("ntriples", "graph contains blank nodes, which have no canonical N-Triples form", id="ntriples"),
+            pytest.param("turtle", "prefix '1x' is not a Turtle prefix name", id="turtle"),
+        ],
+    )
+    def test_an_error_before_the_first_chunk_opens_no_file(self, tmp_path, monkeypatch, fmt, message):
+        source = tmp_path / "in.ttl"
+        source.write_text('_:b1 <http://e.org/p> "x" .\n', encoding="utf-8")
+        if fmt == "turtle":  # parsed prefixes are always writable: bind one that is not
+
+            def parse_with_a_bad_prefix(text):
+                graph = parse_turtle(text)
+                graph.prefixes["1x"] = Iri("http://e.org/")
+                return graph
+
+            monkeypatch.setattr(cli, "parse_turtle", parse_with_a_bad_prefix)
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: opened.append(args[0]), raising=False)
+        out_file = tmp_path / "out"
+        out_file.write_bytes(b"earlier\n")
+        for out in (str(out_file), os.devnull):
+            code, stdout, err = invoke("export", "--in", str(source), "--format", fmt, "--out", out)
+            assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert opened == []
+        assert out_file.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ttl", "out"]
 
     def test_output_error_names_the_path_given(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -337,6 +374,28 @@ class TestAtomicWrites:
         assert code == 2
         assert err.startswith(f"error: {bad}:1:36: escape '\\UFFFFFFFF' does not encode a character")
         assert out_file.read_text(encoding="utf-8") == "earlier\n"
+
+
+class TestStreamedOutput:
+    def test_writing_ntriples_holds_far_less_than_the_output(self, tmp_path):
+        """Held at once, the output's lines and its joined text would need more than its size."""
+        graph = parse_turtle(
+            "@prefix e: <http://e.org/> .\n"
+            + "".join(
+                f'e:s{i} a e:Thing ; e:title "Title {i} «ñ»"@es, "Title {i}" ; e:n {i} ; e:see e:s{i // 2} .\n'
+                for i in range(3000)
+            )
+        )
+        out_file = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            cli._write(str(out_file), cli._ntriples_chunks(graph))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = len(out_file.read_text(encoding="utf-8"))
+        assert size > 1_000_000
+        assert peak < size / 2
 
 
 class TestUsage:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trokit import Graph, Iri, Literal, ParseError, Triple, canonical_ntriples, parse_turtle, serialize_turtle
+from trokit import BlankNode, Graph, Iri, Literal, ParseError, Triple, canonical_ntriples, parse_turtle, serialize_turtle
 from trokit.rdf_core import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
+from trokit.rdf_core.ntriples import _ntriples_chunks
+from trokit.rdf_core.turtle import _turtle_chunks
 
 from conftest import graph_of, random_graph
 
@@ -627,3 +629,48 @@ class TestHypothesisSerializer:
         lines = [line for line in serialize_turtle(g).splitlines() if line and not line.startswith("@prefix ")]
         names = [expected_name(i, prefixes) for i in iris]
         assert sorted(lines) == sorted(f"{n} {n} {n} ." for n in names)
+
+
+# Terms whose texts extend one another: IRIs that share a prefix, literals
+# that differ only in their suffix, and blank-node labels such as b1 and b10.
+_WALK_IRIS = st.sampled_from(
+    ["http://e.org/a", "http://e.org/a/", "http://e.org/ab", "http://e.org/a#b", "http://e.org/é", "urn:x", "urn:x:y"]
+).map(Iri)
+_WALK_LEXICALS = st.sampled_from(["", "a", "a b", "ab", 'a"', "a\n", "é", "1"])
+_WALK_LITERALS = st.one_of(
+    st.builds(Literal, _WALK_LEXICALS),
+    st.builds(lambda text, tag: Literal(text, language=tag), _WALK_LEXICALS, st.sampled_from(["en", "en-us", "en-u"])),
+    st.builds(Literal, _WALK_LEXICALS, st.sampled_from([XSD_INTEGER, Iri("http://e.org/a"), Iri("http://e.org/ab")])),
+)
+_WALK_BLANKS = st.sampled_from(["b", "b1", "b10", "b2", "B1", "_1"]).map(BlankNode)
+
+
+def _first_seen(items):
+    return list(dict.fromkeys(items))
+
+
+class TestWalkOrder:
+    @given(st.lists(st.tuples(_WALK_IRIS, _WALK_IRIS, st.one_of(_WALK_IRIS, _WALK_LITERALS)), max_size=12))
+    def test_ntriples_walk_yields_the_sorted_lines(self, triples):
+        lines = sorted({f"{s} {p} {o} .\n" for s, p, o in triples})
+        chunks = list(_ntriples_chunks(graph_of(Triple(*t) for t in triples)))
+        assert "".join(chunks) == "".join(lines)
+        # one chunk per subject, in the order the sorted lines first name it
+        assert [chunk.split(" ", 1)[0] for chunk in chunks] == _first_seen(line.split(" ", 1)[0] for line in lines)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(_WALK_IRIS, _WALK_BLANKS), _WALK_IRIS, st.one_of(_WALK_IRIS, _WALK_BLANKS, _WALK_LITERALS)
+            ),
+            max_size=12,
+        )
+    )
+    def test_turtle_walk_takes_subjects_in_sorted_line_order(self, triples):
+        g = graph_of(Triple(*t) for t in triples)
+        lines = sorted({f"{s} {p} {o} .\n" for s, p, o in triples})
+        chunks = list(_turtle_chunks(g))
+        assert [chunk.lstrip("\n").split(" ", 1)[0] for chunk in chunks] == _first_seen(
+            line.split(" ", 1)[0] for line in lines
+        )
+        assert list(parse_turtle("".join(chunks))) == list(g)
