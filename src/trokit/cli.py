@@ -6,7 +6,8 @@ findings never fail a run. A located error names its file, as
 ``error: <path>:<line>:<column>: <message>`` (CSV: no column), and so
 does a byte that is not UTF-8; an output error names ``--out`` as given.
 Turtle and N-Triples outputs are streamed one subject at a time (see
-``_write``), so no command holds a whole graph's text.
+``_write``), so no command holds a whole graph's text; when the stream
+goes to a pipe or a device, the summary goes to standard error.
 """
 
 from __future__ import annotations
@@ -90,20 +91,23 @@ def _read(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _in_place(path: str) -> bool:
+    """Whether ``path`` is a pipe or a device such as /dev/stdout, which ``_write`` streams into in place."""
+    return Path(path).exists() and not Path(path).is_file()
+
+
 def _write(path: str, chunks: Iterable[str]) -> None:
     """Stream chunks to path, taking the first before anything is opened, so
     an error a writer raises before its first chunk writes nothing. A regular
     file is replaced only once the new bytes are complete, so a failed run
-    leaves the earlier output as it was; pipes and devices such as
-    /dev/stdout are written in place, as a stream."""
+    leaves the earlier output as it was; an ``_in_place`` path gets the stream directly."""
     rest = iter(chunks)
     chunks = itertools.chain((next(rest, ""),), rest)
-    target = Path(path)
-    if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8") as stream:
+    if _in_place(path):
+        with open(path, "w", encoding="utf-8") as stream:
             stream.writelines(chunks)
         return
-    target = target.resolve()
+    target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as stream:
@@ -199,6 +203,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 2
     try:
+        if getattr(args, "out", None) is not None and _in_place(args.out):
+            out = err  # the data goes to --out: keep the summary out of its stream
         return _COMMANDS[args.command](args, out, err)
     except (OSError, ValueError) as exc:  # ParseError, CsvSyntaxError and HeaderMismatchError are ValueErrors
         print(f"error: {exc}", file=err)

@@ -19,21 +19,24 @@ means the role is ongoing and the interval extends forever. A role
 pair's overlap is ``Interval.intersect``.
 
 Both patterns are indexed joins, not scans. Roles and contracts are read
-through ``Graph.subjects``; the usable contracts are sorted by award date
-once, into plain lists by awarding org and by ordered (awardedBy,
-awardedTo) org pair, and ownership and affiliation links are grouped by
-person. A role's interval (or a role pair's overlap) is bisected into
-the matching list, so a call costs O((roles + role pairs) · log
-contracts + hits) instead of roles × contracts.
+through ``Graph.subjects``; the usable contracts go into one index, a
+plain list per ordered (awardedBy, awardedTo) org pair sorted by award
+date, and ownership and affiliation links are grouped by person.
+AWARD-TO-LINKED-ORG bisects a role's interval into the list of each
+(role org, linked org) pair. DUAL-ROLE sweeps each person's roles in
+start-date order, pairing a role only with the earlier roles still
+active at its start, and bisects each such pair's overlap into the lists
+of both org orders. A call costs O(k log k per person of k roles +
+(role-link pairs + overlapping role pairs) · log contracts + findings).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
-from itertools import combinations
 from operator import attrgetter
 
 from .namespaces import EPO, TRO
@@ -114,8 +117,6 @@ class _Role:
 @dataclass(frozen=True, slots=True)
 class _Contract:
     iri: Iri
-    awarded_by: tuple[Iri, ...]
-    awarded_to: tuple[Iri, ...]
     award_date: date
     evidence: frozenset[Iri]
 
@@ -139,24 +140,6 @@ def _collect_roles(graph: Graph) -> list[_Role]:
     return roles
 
 
-def _collect_contracts(graph: Graph) -> list[_Contract]:
-    contracts = []
-    for node in graph.subjects(EPO.awardDate):
-        if not isinstance(node, Iri):
-            continue
-        po = graph._spo[node]
-        awarded = _single_date(po[EPO.awardDate])
-        if awarded is None:
-            continue
-        by = tuple(_iris(po.get(EPO.awardedBy, ())))
-        to = tuple(_iris(po.get(EPO.awardedTo, ())))
-        if not by or not to:
-            continue
-        evidence = frozenset(_iris(po.get(TRO.hasEvidence, ())))
-        contracts.append(_Contract(node, by, to, awarded, evidence))
-    return contracts
-
-
 def _linked_orgs(graph: Graph) -> dict[Iri, set[Iri]]:
     """person -> the orgs they own or are affiliated with."""
     links: dict[Iri, set[Iri]] = {}
@@ -170,67 +153,76 @@ def _linked_orgs(graph: Graph) -> dict[Iri, set[Iri]]:
     return links
 
 
-def _index_contracts(contracts: list[_Contract]):
-    """Award-date-sorted contract lists by awarding org and by (awardedBy, awardedTo) pair."""
-    by_org: dict[Iri, list[_Contract]] = {}
+def _index_contracts(graph: Graph) -> dict[tuple[Iri, Iri], list[_Contract]]:
+    """The usable contracts by ordered (awardedBy, awardedTo) org pair, each list sorted by award date."""
     by_pair: dict[tuple[Iri, Iri], list[_Contract]] = {}
-    for contract in sorted(contracts, key=_AWARD_DATE):
-        for awarder in contract.awarded_by:
-            by_org.setdefault(awarder, []).append(contract)
-            for winner in contract.awarded_to:
+    for node in graph.subjects(EPO.awardDate):
+        if not isinstance(node, Iri):
+            continue
+        po = graph._spo[node]
+        awarded = _single_date(po[EPO.awardDate])
+        if awarded is None:
+            continue
+        contract = _Contract(node, awarded, frozenset(_iris(po.get(TRO.hasEvidence, ()))))
+        winners = _iris(po.get(EPO.awardedTo, ()))
+        for awarder in _iris(po.get(EPO.awardedBy, ())):
+            for winner in winners:
                 by_pair.setdefault((awarder, winner), []).append(contract)
-    return by_org, by_pair
+    for contracts in by_pair.values():
+        contracts.sort(key=_AWARD_DATE)
+    return by_pair
 
 
-def _within(contracts: list[_Contract], interval: Interval) -> list[_Contract]:
+def _within(contracts: Sequence[_Contract], interval: Interval) -> Sequence[_Contract]:
     """The award-date-sorted ``contracts`` awarded inside the closed ``interval``."""
     lo = bisect_left(contracts, interval.start, key=_AWARD_DATE)
     hi = len(contracts) if interval.end is None else bisect_right(contracts, interval.end, key=_AWARD_DATE)
     return contracts[lo:hi]
 
 
+def _overlapping_pairs(roles: list[_Role]) -> Iterator[tuple[_Role, _Role]]:
+    """The pairs of start-sorted ``roles`` that share a day, found by a sweep, not by trying all pairs."""
+    active: list[_Role] = []  # the earlier roles not ended before the current one starts
+    for role in roles:
+        active = [a for a in active if a.interval.end is None or a.interval.end >= role.interval.start]
+        yield from ((earlier, role) for earlier in active)
+        active.append(role)
+
+
 def detect_conflicts(graph: Graph) -> list[Finding]:
     """Evaluate both patterns; deterministic, duplicate-free output."""
     roles = _collect_roles(graph)
-    by_org, by_pair = _index_contracts(_collect_contracts(graph))
+    by_pair = _index_contracts(graph)
     links = _linked_orgs(graph)
     findings: set[Finding] = set()
 
     for role in roles:
-        linked = links.get(role.person)
-        awarded = by_org.get(role.org)
-        if not linked or not awarded:
-            continue
-        for contract in _within(awarded, role.interval):
-            for winner in contract.awarded_to:
-                if winner in linked:
-                    findings.add(
-                        Finding(
-                            pattern_id=AWARD_TO_LINKED_ORG,
-                            person=role.person,
-                            role_iris=frozenset({role.iri}),
-                            contract=contract.iri,
-                            organizations=frozenset({role.org, winner}),
-                            overlap=contract.award_date,
-                            evidence=role.evidence | contract.evidence,
-                        )
+        for winner in links.get(role.person, ()):
+            for contract in _within(by_pair.get((role.org, winner), ()), role.interval):
+                findings.add(
+                    Finding(
+                        pattern_id=AWARD_TO_LINKED_ORG,
+                        person=role.person,
+                        role_iris=frozenset({role.iri}),
+                        contract=contract.iri,
+                        organizations=frozenset({role.org, winner}),
+                        overlap=contract.award_date,
+                        evidence=role.evidence | contract.evidence,
                     )
+                )
 
     by_person: dict[Iri, list[_Role]] = {}
-    for role in roles:
+    for role in sorted(roles, key=attrgetter("interval.start")):
         by_person.setdefault(role.person, []).append(role)
     for person, person_roles in by_person.items():
-        for r1, r2 in combinations(person_roles, 2):
+        for r1, r2 in _overlapping_pairs(person_roles):
             if r1.iri == r2.iri or r1.org == r2.org:
                 continue
             overlap = r1.interval.intersect(r2.interval)
-            if overlap is None:
-                continue
             witnesses = [
                 contract
                 for pair in ((r1.org, r2.org), (r2.org, r1.org))
-                if pair in by_pair
-                for contract in _within(by_pair[pair], overlap)
+                for contract in _within(by_pair.get(pair, ()), overlap)
             ]
             if witnesses:
                 findings.add(

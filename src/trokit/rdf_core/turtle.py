@@ -35,7 +35,7 @@ The writer emits one fixed shape for a given graph: prefixes sorted,
 subjects sorted, ``rdf:type`` first as ``a``, remaining predicates and
 all objects sorted. Parsing its output yields the original graph. It
 streams: the prefix block, then one chunk per subject in ``_spo`` order,
-so it holds one subject's block, never the whole text.
+so it holds one subject's block and a bounded memo, never the whole text.
 """
 
 from __future__ import annotations
@@ -404,6 +404,7 @@ def parse_turtle(text: str) -> Graph:
 # datatype -> the lexical forms written bare
 _BARE = {XSD_INTEGER: re.compile(r"[+-]?[0-9]+"), XSD_DECIMAL: re.compile(r"[+-]?[0-9]*\.[0-9]+")}
 _SAFE_LOCAL_RE = re.compile(_LOCAL)
+_RENDER_MEMO = 1024  # IRI renderings a write keeps, so its memory is bounded by the block, not the graph
 
 
 def _prefix_table(graph: Graph) -> list[tuple[str, str]]:
@@ -442,7 +443,7 @@ def _turtle_chunks(graph: Graph) -> Iterator[str]:
         if prefix and not _PN_PREFIX_RE.fullmatch(prefix):
             raise ValueError(f"prefix {prefix!r} is not a Turtle prefix name")
     table = _prefix_table(graph)
-    render_iri = functools.cache(lambda iri: _render_iri(iri, table))  # this call's memo
+    render_iri = functools.lru_cache(_RENDER_MEMO)(lambda iri: _render_iri(iri, table))  # this call's memo
     gap = ""  # a blank line between blocks
     if graph.prefixes:
         yield "".join(f"@prefix {prefix}: {graph.prefixes[prefix]} .\n" for prefix in sorted(graph.prefixes))

@@ -362,8 +362,33 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
     def test_device_is_written_in_place(self, pipeline_ttl):
-        assert invoke("export", "--in", str(pipeline_ttl), "--out", os.devnull)[0] == 0
+        code, out, err = invoke("export", "--in", str(pipeline_ttl), "--out", os.devnull)
+        assert (code, out, err) == (0, "", f"wrote 65 triples to {os.devnull}\n")
         assert not Path(os.devnull).is_file()
+
+    @pytest.mark.parametrize("command", ["ingest", "export-ntriples", "export-turtle", "detect", "vocab"])
+    def test_a_pipe_gets_the_data_and_stderr_the_summary(self, pipeline_ttl, tmp_path, command):
+        """Written in place, a pipe's stream stays parseable: what would go to stdout goes to stderr."""
+        argv = {
+            "ingest": ["ingest", "--contracts", str(tmp_path / "contracts.csv"), "--roles", str(tmp_path / "roles.csv")],
+            "export-ntriples": ["export", "--in", str(pipeline_ttl)],
+            "export-turtle": ["export", "--in", str(pipeline_ttl), "--format", "turtle"],
+            "detect": ["detect", "--in", str(pipeline_ttl)],
+            "vocab": ["vocab"],
+        }[command]
+        out_file = tmp_path / "out"
+        code, file_out, file_err = invoke(*argv, "--out", str(out_file))
+        assert code == 0 and file_err == ""
+        read, write = os.pipe()
+        try:
+            code, out, err = invoke(*argv, "--out", f"/dev/fd/{write}")
+        finally:
+            os.close(write)
+        with os.fdopen(read, "rb") as pipe:  # the fixture's outputs fit in a pipe's buffer
+            piped = pipe.read()
+        assert code == 0 and out == ""
+        assert piped == out_file.read_bytes()
+        assert err == file_out.replace(str(out_file), f"/dev/fd/{write}")
 
     def test_escape_without_a_character_is_a_located_parse_error(self, tmp_path):
         bad = tmp_path / "bad.ttl"
@@ -396,6 +421,24 @@ class TestStreamedOutput:
         size = len(out_file.read_text(encoding="utf-8"))
         assert size > 1_000_000
         assert peak < size / 2
+
+    def test_writing_turtle_keeps_a_bounded_memo(self, tmp_path):
+        """Every IRI falls under one bound prefix, so each has its own rendering:
+        a memo that kept them all would grow with the graph."""
+
+        def peak_writing(n):
+            graph = parse_turtle(
+                "@prefix e: <http://e.org/> .\n"
+                + "".join(f"e:s{i} a e:Thing ; e:see e:s{i}a, e:s{i}b, e:s{i}c, e:s{i}d .\n" for i in range(n))
+            )
+            tracemalloc.start()
+            try:
+                cli._write(str(tmp_path / "out.ttl"), cli._turtle_chunks(graph))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_writing(3200) <= 1.25 * peak_writing(800)
 
 
 class TestUsage:

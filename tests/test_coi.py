@@ -3,8 +3,11 @@
 import json
 import random
 import re
+import runpy
 from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -19,8 +22,10 @@ from trokit import (
     InvalidIntervalError,
     Iri,
     Literal,
+    MintConfig,
     Triple,
     build_graph,
+    coi,
     detect_conflicts,
     findings_to_json,
     parse_contract_csv,
@@ -490,6 +495,159 @@ class TestOracleEquivalence:
         f1, f2 = detect_conflicts(g1), detect_conflicts(g2)
         assert [f.sort_key() for f in f1] == [f.sort_key() for f in f2]
         assert [f.sort_key() for f in f1] == sorted(f.sort_key() for f in f1)
+
+
+# --- work done: candidates examined, not every role pair or awarded contract ---
+
+
+def _role(g: Graph, role: Iri, person: Iri, org: Iri, start: date, end: date | None) -> None:
+    g.insert(Triple(role, TRO.roleOf, person))
+    g.insert(Triple(role, TRO.roleIn, org))
+    g.insert(Triple(role, TRO.startDate, Literal(start.isoformat(), XSD_DATE)))
+    if end is not None:
+        g.insert(Triple(role, TRO.endDate, Literal(end.isoformat(), XSD_DATE)))
+    g.insert(Triple(role, TRO.hasEvidence, Iri(role.value + "-ev")))
+
+
+def _contract(g: Graph, contract: Iri, by: Iri, to: Iri, when: date) -> None:
+    g.insert(Triple(contract, EPO.awardedBy, by))
+    g.insert(Triple(contract, EPO.awardedTo, to))
+    g.insert(Triple(contract, EPO.awardDate, Literal(when.isoformat(), XSD_DATE)))
+    g.insert(Triple(contract, TRO.hasEvidence, Iri(contract.value + "-ev")))
+
+
+def disjoint_roles_graph(k: int) -> Graph:
+    """One person with ``k`` roles in distinct orgs, no two sharing a day."""
+    g = Graph()
+    for i in range(k):
+        day = date(2000, 1, 1) + timedelta(days=2 * i)
+        _role(g, Iri(f"{EX}role{i}"), Iri(EX + "person"), Iri(f"{EX}org{i}"), day, day)
+    return g
+
+
+def idle_links_graph(roles: int, contracts: int) -> Graph:
+    """``roles`` people in roles at one org, each linked to an org that wins
+    nothing, and ``contracts`` contracts from that org inside every role."""
+    g = Graph()
+    gov = Iri(EX + "gov")
+    for i in range(roles):
+        person = Iri(f"{EX}person{i}")
+        _role(g, Iri(f"{EX}role{i}"), person, gov, date(2000, 1, 1), None)
+        g.insert(Triple(person, TRO.ownerOf, Iri(f"{EX}idle{i}")))
+    for j in range(contracts):
+        _contract(g, Iri(f"{EX}c{j}"), gov, Iri(f"{EX}winner{j % 7}"), date(2001, 1, 1) + timedelta(days=j))
+    return g
+
+
+@pytest.fixture()
+def operations(monkeypatch):
+    """Counts the contracts detection examines and the role pairs it intersects."""
+    counts = Counter()
+    within, intersect = coi._within, Interval.intersect
+
+    def counted_within(contracts, interval):
+        found = within(contracts, interval)
+        counts["contracts"] += len(found)
+        return found
+
+    def counted_intersect(self, other):
+        counts["pairs"] += 1
+        return intersect(self, other)
+
+    monkeypatch.setattr(coi, "_within", counted_within)
+    monkeypatch.setattr(Interval, "intersect", counted_intersect)
+    return counts
+
+
+class TestWorkDone:
+    """Detection examines only candidates that can match: trying every role
+    pair, or every contract a role's org awarded, fails these at both sizes."""
+
+    @pytest.mark.parametrize("k", [150, 300])
+    def test_disjoint_roles_pair_nothing(self, operations, k):
+        assert detect_conflicts(disjoint_roles_graph(k)) == []
+        assert operations["contracts"] + operations["pairs"] <= k
+
+    @pytest.mark.parametrize("roles, contracts", [(40, 400), (80, 800)])
+    def test_links_that_win_nothing_examine_no_contract(self, operations, roles, contracts):
+        assert detect_conflicts(idle_links_graph(roles, contracts)) == []
+        assert operations["contracts"] + operations["pairs"] <= roles
+
+    def test_sweep_boundaries(self, operations):
+        """Equal start dates and an end on the next start overlap; the day after does not."""
+        g = Graph()
+        person = Iri(EX + "person")
+        org = [Iri(f"{EX}org{i}") for i in range(5)]
+        d = date.fromisoformat
+        for i, start, end in [
+            (0, "2020-01-01", "2020-06-30"),
+            (1, "2020-01-01", "2020-03-31"),  # starts with role 0
+            (2, "2020-06-30", "2020-12-31"),  # starts on role 0's last day
+            (3, "2020-07-01", None),  # starts the day after role 0 ends
+            (4, "2020-03-31", "2020-03-31"),  # one day, role 1's last
+        ]:
+            _role(g, Iri(f"{EX}role{i}"), person, org[i], d(start), d(end) if end else None)
+        for name, by, to, when in [
+            ("c01", 0, 1, "2020-01-01"),
+            ("c20", 2, 0, "2020-06-30"),
+            ("c03", 0, 3, "2020-06-30"),  # roles 0 and 3 share no day: no witness
+            ("c32", 3, 2, "2020-12-31"),
+            ("c14", 1, 4, "2020-03-31"),
+        ]:
+            _contract(g, Iri(EX + name), org[by], org[to], d(when))
+        found = detect_conflicts(g)
+        assert {_finding_key(f) for f in found} == brute_force_keys(g)
+        assert {(tuple(sorted(r.value for r in f.role_iris)), f.overlap) for f in found} == {
+            ((EX + "role0", EX + "role1"), Interval(d("2020-01-01"), d("2020-03-31"))),
+            ((EX + "role0", EX + "role2"), Interval(d("2020-06-30"), d("2020-06-30"))),
+            ((EX + "role2", EX + "role3"), Interval(d("2020-07-01"), d("2020-12-31"))),
+            ((EX + "role1", EX + "role4"), Interval(d("2020-03-31"), d("2020-03-31"))),
+        }
+        # the five overlapping pairs: these four and roles 0 and 4, which no contract links
+        assert operations["pairs"] == 5
+
+    def test_tied_dates_match_the_oracle(self):
+        """Roles whose starts and ends fall on a few shared days, in few orgs."""
+        days = [date(2020, 1, 1) + timedelta(days=i) for i in range(6)]
+        counts = Counter()
+        for seed in range(60):
+            rng = random.Random(9000 + seed)
+            g = Graph()
+            people = [Iri(f"{EX}person{i}") for i in range(2)]
+            orgs = [Iri(f"{EX}org{i}") for i in range(4)]
+            for i in range(12):
+                start = rng.choice(days)
+                end = rng.choice([None] + [day for day in days if day >= start])
+                _role(g, Iri(f"{EX}role{i}"), rng.choice(people), rng.choice(orgs), start, end)
+            for person in people:
+                g.insert(Triple(person, TRO.affiliatedWith, rng.choice(orgs)))
+            for j in range(8):
+                by, to = rng.sample(orgs, 2)
+                _contract(g, Iri(f"{EX}c{j}"), by, to, rng.choice(days))
+            found = detect_conflicts(g)
+            assert {_finding_key(f) for f in found} == brute_force_keys(g), seed
+            counts.update(f.pattern_id for f in found)
+        assert counts[AWARD_TO_LINKED_ORG] > 50 and counts[DUAL_ROLE] > 50, counts
+
+
+# --- the benchmark's corpora ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus():
+    """perfbench's corpus generator, read from its file: it imports nothing from trokit."""
+    return SimpleNamespace(**runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["registry", "watchlist", "dossier"])
+def test_benchmark_corpora_match_the_oracle(corpus, workload, seed):
+    data = corpus.generate(workload, seed)
+    contracts, _ = parse_contract_csv(data.contracts_csv)
+    roles, _ = parse_role_csv(data.roles_csv)
+    g = build_graph(contracts, roles, MintConfig(Iri(corpus.BASE)))
+    found = detect_conflicts(g)
+    assert found
+    assert {_finding_key(f) for f in found} == brute_force_keys(g)
 
 
 # --- exports ------------------------------------------------------------
