@@ -6,8 +6,8 @@ findings never fail a run. A located error names its file, as
 ``error: <path>:<line>:<column>: <message>`` (CSV: no column), and so
 does a byte that is not UTF-8; an output error names ``--out`` as given.
 Turtle and N-Triples outputs are streamed one subject at a time (see
-``_write``), so no command holds a whole graph's text; when the stream
-goes to a pipe or a device, the summary goes to standard error.
+``_write``), so no command holds a whole graph's text; when the stream goes
+to a pipe, a device or standard output's own file, the summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -94,6 +94,14 @@ def _read(path: str, parse):
 def _in_place(path: str) -> bool:
     """Whether ``path`` is a pipe or a device such as /dev/stdout, which ``_write`` streams into in place."""
     return Path(path).exists() and not Path(path).is_file()
+
+
+def _same_file(path: str, stream) -> bool:
+    """Whether ``path`` names the file ``stream`` writes to, which ``_write`` would replace under it."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(stream.fileno()))
+    except OSError:  # a stream with no file descriptor (io.UnsupportedOperation), or no file at path yet
+        return False
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -203,7 +211,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 2
     try:
-        if getattr(args, "out", None) is not None and _in_place(args.out):
+        if getattr(args, "out", None) is not None and (_in_place(args.out) or _same_file(args.out, out)):
             out = err  # the data goes to --out: keep the summary out of its stream
         return _COMMANDS[args.command](args, out, err)
     except (OSError, ValueError) as exc:  # ParseError, CsvSyntaxError and HeaderMismatchError are ValueErrors

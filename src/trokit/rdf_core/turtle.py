@@ -16,9 +16,9 @@ named by its group, and a state says what the grammar accepts next, so
 no token is held once it is used. The pattern's last alternative,
 ``error``, is empty: where no token lexes, it matches, so every match
 starts where the previous one ended, and ``_diagnose`` inspects the text
-there and raises the error. The grammar reads one token ahead, so a
-token's lexical error is reported before an error that the token before
-it raises once consumed (``_late``). Positions are worked out from the
+there and raises the error. An error names the first fault in the text:
+the first token that does not lex, where it fails, or the first token
+the grammar does not accept there. Positions are worked out from the
 offset only when a ``ParseError`` is raised: lines end at ``\n`` and
 columns count code points from 1.
 Escapes must name a Unicode scalar value; a surrogate or a code point
@@ -241,19 +241,9 @@ def _lexed(text: str, m: re.Match, after_string: bool) -> str:
     return kind
 
 
-def _late(text: str, m: re.Match, message: str) -> NoReturn:
-    """Raise message at token m, after any lexical error of the next token: the grammar reads one ahead."""
-    kind = m.lastgroup
-    _lexed(text, _TOKEN_RE.match(text, m.end()), kind == "string" or kind == "long")  # at the end: eof again
-    raise _error(text, m.start(kind), message)
-
-
-def _expected(text: str, m: re.Match, what: str, late: bool = True) -> NoReturn:
-    """Raise 'expected what, found ...' at token m, after its own lexical error; late once m is consumed."""
-    message = f"expected {what}, found {_DESCRIBE[_lexed(text, m, False)]}"
-    if late:
-        _late(text, m, message)
-    raise _error(text, m.start(m.lastgroup), message)
+def _expected(text: str, m: re.Match, what: str) -> NoReturn:
+    """Raise 'expected what, found ...' at token m, after its own lexical error."""
+    raise _error(text, m.start(m.lastgroup), f"expected {what}, found {_DESCRIBE[_lexed(text, m, False)]}")
 
 
 def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names: dict) -> Iri:
@@ -265,15 +255,13 @@ def _named(text: str, m: re.Match, prefixes: dict[str, Iri], terms: dict, names:
         prefix, _, local = m.group(kind).partition(":")
         ns = prefixes.get(prefix)
         if ns is None:
-            _late(text, m, f"undeclared prefix '{prefix}:'")
+            raise _error(text, m.start(kind), f"undeclared prefix '{prefix}:'")
         written = ns[:-1] + local + ">"
     iri = terms.get(written)
     if iri is None:
         try:
             iri = Iri(_unescape(written[1:-1]))
         except ValueError as exc:
-            if kind == "pname":  # a name is resolved once the token after it has lexed
-                _late(text, m, str(exc))
             raise _error(text, m.start(kind), str(exc)) from None
         iri = terms.setdefault(iri, iri)
     names[m.group(kind)] = iri
@@ -291,7 +279,7 @@ def _literal(text: str, m: re.Match, body: str, datatype: Iri, language: str | N
         try:
             lit = Literal._escaped(canonical_escapes(body), datatype, language)
         except ValueError as exc:
-            _late(text, m, str(exc))
+            raise _error(text, m.start(m.lastgroup), str(exc)) from None
         lit = terms.setdefault(lit, lit)
     return lit
 
@@ -327,13 +315,13 @@ def parse_turtle(text: str) -> Graph:
             elif kind == "comma":
                 state = _OBJECT
             else:
-                _expected(text, m, "'.' at end of statement", late=False)
+                _expected(text, m, "'.' at end of statement")
             continue
         if state == _SEMICOLONS:
             if kind == "semicolon":
                 continue
             if kind == "eof":
-                _expected(text, m, "'.' at end of statement", late=False)
+                _expected(text, m, "'.' at end of statement")
             if kind == "dot":
                 state = _SUBJECT
                 continue
@@ -384,20 +372,20 @@ def parse_turtle(text: str) -> Graph:
             state = _VERB
         elif state == _NAME:
             if kind != "pname":
-                _expected(text, m, "prefix declaration", late=False)
+                _expected(text, m, "prefix declaration")
             prefix, _, local = m.group(kind).partition(":")
             if local:
-                _late(text, m, "expected prefix declaration like 'p:'")
+                raise _error(text, m.start(kind), "expected prefix declaration like 'p:'")
             state = _NAMESPACE
         elif state == _NAMESPACE:
             if kind != "iriref":
-                _expected(text, m, "namespace IRI", late=False)
+                _expected(text, m, "namespace IRI")
             prefixes[prefix] = _named(text, m, prefixes, terms, names)
             names.clear()
             state = _DIRECTIVE_DOT if form == "@prefix" else _SUBJECT
         else:  # _DIRECTIVE_DOT
             if kind != "dot":
-                _expected(text, m, "'.' after @prefix directive", late=False)
+                _expected(text, m, "'.' after @prefix directive")
             state = _SUBJECT
 
 

@@ -11,6 +11,7 @@ exceptions, so one pass surfaces everything at once:
   ERROR  INTERVAL-ORDER    end date precedes start date
   WARN   UNKNOWN-TERM      vocabulary-namespace IRI not in the registry
   WARN   NO-LABEL          declared class/property without rdfs:label
+  WARN   AMBIGUOUS-DATE    start, end or award date with two or more values
   INFO   NO-PROVENANCE     ontology header missing provenance fields
   INFO   NO-VERSION        ontology header missing a version marker
 
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .namespaces import DC, DCTERMS, OWL, RDFS, TRO
+from .namespaces import DC, DCTERMS, EPO, OWL, RDFS, TRO
 from .rdf_core import RDF_LANG_STRING, RDF_TYPE, XSD_STRING, BlankNode, Graph, Iri, Literal, Term
 from .util import DATE_SUFFIX, xsd_dates
 from .vocab import Vocabulary
@@ -176,6 +177,13 @@ def _no_label(graph: Graph, types, vocab: Vocabulary):
             yield node, "declared term has no rdfs:label"
 
 
+def _ambiguous_date(graph: Graph, types, vocab: Vocabulary):
+    for prop in (TRO.startDate, TRO.endDate, EPO.awardDate):  # the dates detection reads
+        for node in graph.subjects(prop):
+            if (count := len(graph._spo[node][prop])) > 1:
+                yield node, f"{count} values of {prop}: detection skips the node"
+
+
 def _no_provenance(graph: Graph, types, vocab: Vocabulary):
     for node, node_types in types.items():
         if OWL.Ontology in node_types:
@@ -198,6 +206,7 @@ RULES = (
     ("INTERVAL-ORDER", Severity.ERROR, _interval_order),
     ("UNKNOWN-TERM", Severity.WARN, _unknown_term),
     ("NO-LABEL", Severity.WARN, _no_label),
+    ("AMBIGUOUS-DATE", Severity.WARN, _ambiguous_date),
     ("NO-PROVENANCE", Severity.INFO, _no_provenance),
     ("NO-VERSION", Severity.INFO, _no_version),
 )

@@ -104,7 +104,6 @@ class Vocabulary:
 
     terms: dict[Iri, VocabTerm]
     constraints: tuple[SchemaConstraint, ...]
-    namespaces: dict[str, Iri] = field(default_factory=default_prefixes)
 
     # class -> itself plus all its transitive superclasses
     _closures: dict[Iri, frozenset[Iri]] = field(init=False, repr=False, compare=False)
@@ -286,7 +285,7 @@ _KIND_CLASS = {
 
 def vocabulary_graph(vocab: Vocabulary) -> Graph:
     """The vocabulary as an ontology graph, header included."""
-    g = Graph(vocab.namespaces)
+    g = Graph(default_prefixes())
     g.insert(Triple(ONTOLOGY_IRI, RDF_TYPE, OWL.Ontology))
     g.insert(Triple(ONTOLOGY_IRI, OWL.versionInfo, Literal(ONTOLOGY_VERSION)))
     g.insert(Triple(ONTOLOGY_IRI, VANN.preferredNamespacePrefix, Literal("tro")))

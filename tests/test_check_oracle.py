@@ -142,6 +142,17 @@ def reference_check(graph: Graph, vocab: Vocabulary) -> Report:
         if node_types.intersection(_DECLARED_KINDS) and not g.match(node, RDFS.label, None):
             report(Severity.WARN, "NO-LABEL", node, "declared term has no rdfs:label")
 
+    for prop in (TRO.startDate, TRO.endDate, EPO.awardDate):
+        for node in g.subjects(prop, None):
+            values = g.objects(node, prop)
+            if len(values) > 1:
+                report(
+                    Severity.WARN,
+                    "AMBIGUOUS-DATE",
+                    node,
+                    f"{len(values)} values of {prop.n3()}: detection skips the node",
+                )
+
     for node in g.subjects(RDF_TYPE, OWL.Ontology):
         missing = [p for p in _PROVENANCE_PROPS if not g.match(node, p, None)]
         if missing:
@@ -243,7 +254,7 @@ def test_check_matches_reference_on_random_graphs():
         fired.update({e.rule_id for e in report.entries})
     rules = (
         "DISJOINT-CLASH MISSING-REQUIRED BAD-RANGE BAD-DATE INTERVAL-ORDER "
-        "UNKNOWN-TERM NO-LABEL NO-PROVENANCE NO-VERSION"
+        "UNKNOWN-TERM NO-LABEL AMBIGUOUS-DATE NO-PROVENANCE NO-VERSION"
     ).split()
     assert set(fired) == set(rules)
     assert all(fired[rule] >= 20 for rule in rules), fired

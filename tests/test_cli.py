@@ -257,6 +257,33 @@ class TestDetect:
         assert code == 0
         assert out_file.read_text(encoding="utf-8") == "[]\n"
 
+    def test_a_contract_with_two_award_dates_is_warned_of_and_skipped(self, tmp_path, contracts_csv, roles_csv):
+        header, row = contracts_csv.splitlines()[:2]  # awarded by Basque Government to Acme Construction
+        rows = [row.replace("2018-03-01", day) for day in ("2019-06-15", "2019-07-15")]
+        roles = tmp_path / "roles.csv"
+        roles.write_text(roles_csv, encoding="utf-8")
+
+        def pipeline(name, contract_rows):
+            contracts, graph = tmp_path / f"{name}.csv", tmp_path / f"{name}.ttl"
+            contracts.write_text("\n".join([header, *contract_rows]) + "\n", encoding="utf-8")
+            ingested = invoke("ingest", "--contracts", str(contracts), "--roles", str(roles), "--out", str(graph))
+            findings = tmp_path / f"{name}.json"
+            assert invoke("detect", "--in", str(graph), "--out", str(findings))[0] == 0
+            return ingested, invoke("validate", "--in", str(graph)), json.loads(findings.read_text(encoding="utf-8"))
+
+        for i, alone in enumerate(rows):  # either row alone is a finding
+            _, (code, out, _), findings = pipeline(f"alone{i}", [alone])
+            assert code == 0 and out.endswith("0 error(s), 0 warning(s), 0 info\n")
+            assert [f["patternId"] for f in findings] == ["AWARD-TO-LINKED-ORG"]
+        (code, out, _), (code_v, out_v, _), findings = pipeline("both", rows)
+        assert code == 0 and "contracts: 2 accepted, 0 rejected" in out
+        contract = "<http://ehu.eus/tro/data/contract/EXP-2018%2F0042>"
+        award_date = "<http://data.europa.eu/a4g/ontology#awardDate>"
+        assert code_v == 0
+        assert out_v.splitlines()[0] == f"WARN AMBIGUOUS-DATE {contract} 2 values of {award_date}: detection skips the node"
+        assert out_v.endswith("0 error(s), 1 warning(s), 0 info\n")
+        assert findings == []
+
 
 class TestVocabAndExport:
     def test_vocab_matches_packaged_copy(self, tmp_path):
@@ -389,6 +416,27 @@ class TestAtomicWrites:
         assert code == 0 and out == ""
         assert piped == out_file.read_bytes()
         assert err == file_out.replace(str(out_file), f"/dev/fd/{write}")
+
+    @pytest.mark.parametrize("command", ["ingest", "export-ntriples", "detect", "vocab"])
+    def test_a_redirected_stdout_gets_the_data_and_stderr_the_summary(self, pipeline_ttl, tmp_path, command):
+        """As with ``--out /dev/stdout > file``: the file is replaced, so the summary must not go to the old one."""
+        argv = {
+            "ingest": ["ingest", "--contracts", str(tmp_path / "contracts.csv"), "--roles", str(tmp_path / "roles.csv")],
+            "export-ntriples": ["export", "--in", str(pipeline_ttl)],
+            "detect": ["detect", "--in", str(pipeline_ttl)],
+            "vocab": ["vocab"],
+        }[command]
+        out_file = tmp_path / "out"
+        code, file_out, file_err = invoke(*argv, "--out", str(out_file))
+        assert code == 0 and file_err == ""
+        redirected = tmp_path / "redirected"
+        err = io.StringIO()
+        with open(redirected, "w", encoding="utf-8") as out:
+            code = run([*argv, "--out", str(redirected)], out=out, err=err)
+            assert out.tell() == 0  # nothing went to the file that was replaced
+        assert code == 0
+        assert redirected.read_bytes() == out_file.read_bytes()
+        assert err.getvalue() == file_out.replace(str(out_file), str(redirected))
 
     def test_escape_without_a_character_is_a_located_parse_error(self, tmp_path):
         bad = tmp_path / "bad.ttl"

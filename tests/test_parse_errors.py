@@ -5,9 +5,10 @@ subset (``fixtures/parse_errors.ttl``): a truncation at every offset
 (so at every token boundary), the deletion of each occurrence of a
 syntax character, and the insertion of each syntax character at a
 seeded sample of offsets. ``fixtures/parse_errors.json`` records, per
-case, either the exact error or a digest of the graph parsed. It was
-recorded from the token-generator parser, before the single-loop
-rewrite, and is regenerated only when a message is changed on purpose:
+case, either the exact error or a digest of the graph parsed. Each
+error names the first fault in the text: the first token that does not
+lex, or the first token the grammar does not accept there. The fixture
+is regenerated only when a message is changed on purpose:
 
     PYTHONPATH=src python tests/test_parse_errors.py
 """
@@ -75,6 +76,33 @@ def test_each_mutation_parses_or_raises_the_recorded_error(chunk, expected):
     ids = list(CASES)[chunk::8]
     found = {case: outcome(CASES[case]) for case in ids}
     assert {case: o for case, o in found.items() if o != expected[case]} == {}
+
+
+def offset(text: str, line: int, col: int) -> int:
+    """The offset of a 1-based line and column: lines end at newline, columns count code points."""
+    return sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+
+
+def grammar_fault_before(text: str, at: int) -> list | None:
+    """The outcome of parsing text[:at] if it is a grammar error before at, else None."""
+    found = outcome(text[:at])
+    if found[0] == "error" and found[1].startswith(("expected ", "undeclared prefix")):
+        if offset(text, found[2], found[3]) < at:
+            return found
+    return None
+
+
+def test_no_grammar_fault_comes_before_the_reported_error():
+    # the text before a reported error lexes and parses up to its end, or fails there
+    # for want of more text: an earlier grammar fault would be the first fault
+    earlier = {}
+    for case, text in CASES.items():
+        found = outcome(text)
+        if found[0] == "error":
+            fault = grammar_fault_before(text, offset(text, found[2], found[3]))
+            if fault is not None:
+                earlier[case] = (found, fault)
+    assert earlier == {}
 
 
 if __name__ == "__main__":

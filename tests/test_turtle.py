@@ -352,8 +352,9 @@ class TestLexerBoundaries:
     """Token boundaries the tokenizer must draw exactly where they were."""
 
     def test_non_ascii_digits_are_not_number_digits(self):
-        # Turtle numbers are [0-9]; other Unicode decimal digits such as U+0663 are not
-        expect_error(PREFIX_LINE + "ex:a ex:p .٣ .", "unexpected character '٣'", 2, 12)
+        # Turtle numbers are [0-9]; other Unicode decimal digits such as U+0663 are not,
+        # so '.٣' is no decimal: its '.' ends a statement that has no object
+        expect_error(PREFIX_LINE + "ex:a ex:p .٣ .", "expected object (IRI, blank node or literal), found '.'", 2, 11)
         expect_error(PREFIX_LINE + "ex:a ex:p 1.٣ .", "unexpected character '٣'", 2, 13)
         expect_error(PREFIX_LINE + "ex:a ex:p ٣ .", "unexpected character '٣'", 2, 11)
         expect_error(PREFIX_LINE + "ex:a ex:p 1٣ .", "unexpected character '٣'", 2, 12)

@@ -110,6 +110,7 @@ class TestRuleCatalog:
             ("interval_order.ttl", "INTERVAL-ORDER", Severity.ERROR, 1),
             ("unknown_term.ttl", "UNKNOWN-TERM", Severity.WARN, 2),
             ("no_label.ttl", "NO-LABEL", Severity.WARN, 1),
+            ("ambiguous_date.ttl", "AMBIGUOUS-DATE", Severity.WARN, 1),
             ("no_provenance.ttl", "NO-PROVENANCE", Severity.INFO, 1),
             ("no_version.ttl", "NO-VERSION", Severity.INFO, 1),
         ],

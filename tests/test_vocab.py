@@ -94,11 +94,11 @@ class TestBuiltinVocabulary:
             assert (TRO.Role, prop) in required
 
     def test_namespace_defaults(self):
-        v = builtin_vocabulary()
-        assert v.namespaces["gist"] == Iri("https://ontologies.semanticarts.com/gist/")
-        assert v.namespaces["tro"] == Iri("http://ehu.eus/tro#")
+        prefixes = vocabulary_graph(builtin_vocabulary()).prefixes
+        assert prefixes["gist"] == Iri("https://ontologies.semanticarts.com/gist/")
+        assert prefixes["tro"] == Iri("http://ehu.eus/tro#")
         for prefix in ("rdf", "rdfs", "owl", "xsd", "dcterms", "dc", "vann", "time", "dbo", "epo", "schema"):
-            assert prefix in v.namespaces
+            assert prefix in prefixes
 
 
 class TestVocabularyInvariants:
