@@ -5,9 +5,9 @@ validation ERRORs, 2 usage, I/O, or parse failure. WARN and INFO
 findings never fail a run. A located error names its file, as
 ``error: <path>:<line>:<column>: <message>`` (CSV: no column), and so
 does a byte that is not UTF-8; an output error names ``--out`` as given.
-Turtle and N-Triples outputs are streamed one subject at a time (see
-``_write``), so no command holds a whole graph's text; when the stream goes
-to a pipe, a device or standard output's own file, the summary goes to stderr.
+Outputs are streamed (see ``_write``). Standard output's own file (a pipe, a
+terminal, a ``>``, ``>>`` or grouped redirect) is written through its
+descriptor, so it keeps what it held, and the summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -91,30 +91,24 @@ def _read(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _in_place(path: str) -> bool:
-    """Whether ``path`` is a pipe or a device such as /dev/stdout, which ``_write`` streams into in place."""
-    return Path(path).exists() and not Path(path).is_file()
-
-
-def _same_file(path: str, stream) -> bool:
-    """Whether ``path`` names the file ``stream`` writes to, which ``_write`` would replace under it."""
-    try:
-        return os.path.samestat(os.stat(path), os.fstat(stream.fileno()))
-    except OSError:  # a stream with no file descriptor (io.UnsupportedOperation), or no file at path yet
-        return False
-
-
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Stream chunks to path, taking the first before anything is opened, so
-    an error a writer raises before its first chunk writes nothing. A regular
-    file is replaced only once the new bytes are complete, so a failed run
-    leaves the earlier output as it was; an ``_in_place`` path gets the stream directly."""
+def _write(path: str, chunks: Iterable[str], out, err):
+    """Stream chunks to path; return the stream for the summary (``err`` if the
+    bytes went in place). The first chunk is taken before anything is opened, so
+    an error a writer raises before it writes nothing. ``out``'s own file is
+    written through its descriptor, after ``out``'s text and keeping what the
+    file held; another pipe or device is opened in place. A regular file is
+    replaced only once the new bytes are complete, so a failed run keeps it."""
     rest = iter(chunks)
     chunks = itertools.chain((next(rest, ""),), rest)
-    if _in_place(path):
-        with open(path, "w", encoding="utf-8") as stream:
+    try:
+        fd = out.fileno() if os.path.samestat(os.stat(path), os.fstat(out.fileno())) else None
+    except OSError:  # no file at path yet, or a stream with no descriptor (io.UnsupportedOperation)
+        fd = None
+    if fd is not None or (Path(path).exists() and not Path(path).is_file()):
+        out.flush()
+        with open(path if fd is None else fd, "w", encoding="utf-8", closefd=fd is None) as stream:
             stream.writelines(chunks)
-        return
+        return err
     target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
@@ -127,6 +121,7 @@ def _write(path: str, chunks: Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return out
 
 
 def _print_ingest_report(label: str, report: IngestReport, out) -> None:
@@ -140,7 +135,7 @@ def _cmd_ingest(args: argparse.Namespace, out, err) -> int:
     contracts, contract_report = _read(args.contracts, parse_contract_csv)
     roles, role_report = _read(args.roles, parse_role_csv)
     graph = build_graph(contracts, roles, cfg)
-    _write(args.out, _turtle_chunks(graph))
+    out = _write(args.out, _turtle_chunks(graph), out, err)
     _print_ingest_report("contracts", contract_report, out)
     _print_ingest_report("roles", role_report, out)
     print(f"wrote {len(graph)} triples to {args.out}", file=out)
@@ -172,21 +167,21 @@ def _cmd_detect(args: argparse.Namespace, out, err) -> int:
         print("aborting: the graph has validation errors", file=err)
         return 1
     findings = detect_conflicts(graph)
-    _write(args.out, (findings_to_json(findings), "\n"))
+    out = _write(args.out, (findings_to_json(findings), "\n"), out, err)
     print(f"wrote {len(findings)} candidate finding(s) to {args.out}", file=out)
     return 0
 
 
 def _cmd_vocab(args: argparse.Namespace, out, err) -> int:
     graph = vocabulary_graph(builtin_vocabulary())
-    _write(args.out, _turtle_chunks(graph))
+    out = _write(args.out, _turtle_chunks(graph), out, err)
     print(f"wrote vocabulary ({len(graph)} triples) to {args.out}", file=out)
     return 0
 
 
 def _cmd_export(args: argparse.Namespace, out, err) -> int:
     graph = _read(args.in_path, parse_turtle)
-    _write(args.out, (_turtle_chunks if args.format == "turtle" else _ntriples_chunks)(graph))
+    out = _write(args.out, (_turtle_chunks if args.format == "turtle" else _ntriples_chunks)(graph), out, err)
     print(f"wrote {len(graph)} triples to {args.out}", file=out)
     return 0
 
@@ -211,8 +206,6 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 2
     try:
-        if getattr(args, "out", None) is not None and (_in_place(args.out) or _same_file(args.out, out)):
-            out = err  # the data goes to --out: keep the summary out of its stream
         return _COMMANDS[args.command](args, out, err)
     except (OSError, ValueError) as exc:  # ParseError, CsvSyntaxError and HeaderMismatchError are ValueErrors
         print(f"error: {exc}", file=err)

@@ -193,7 +193,15 @@ def _contract_record(cid, title, by_org, to_org, award, amount, url) -> Contract
 
 
 def parse_contract_csv(text: str) -> tuple[list[ContractRecord], IngestReport]:
-    return _parse(text, CONTRACT_HEADER, _contract_record)
+    accepted: dict[str, ContractRecord] = {}
+
+    def record(*row) -> ContractRecord:  # a repeated contract_id is accepted only as an exact copy
+        contract = _contract_record(*row)  # checked first, so a malformed copy keeps its own reason
+        if accepted.setdefault(contract.contract_id, contract) != contract:
+            raise _Rejected(f"contract_id {contract.contract_id!r} repeats an earlier row with different fields")
+        return contract
+
+    return _parse(text, CONTRACT_HEADER, record)
 
 
 def _role_record(

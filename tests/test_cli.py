@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +36,17 @@ def pipeline_ttl(tmp_path, contracts_csv, roles_csv):
     )
     assert code == 0, err
     return graph
+
+
+def writer_argv(command, pipeline_ttl):
+    """The argv, less ``--out``, of each command that writes one; the CSV files are beside the graph."""
+    return {
+        "ingest": ["ingest", "--contracts", str(pipeline_ttl.parent / "contracts.csv"), "--roles", str(pipeline_ttl.parent / "roles.csv")],
+        "export-ntriples": ["export", "--in", str(pipeline_ttl)],
+        "export-turtle": ["export", "--in", str(pipeline_ttl), "--format", "turtle"],
+        "detect": ["detect", "--in", str(pipeline_ttl)],
+        "vocab": ["vocab"],
+    }[command]
 
 
 class TestIngest:
@@ -263,20 +275,28 @@ class TestDetect:
         roles = tmp_path / "roles.csv"
         roles.write_text(roles_csv, encoding="utf-8")
 
-        def pipeline(name, contract_rows):
+        def ingest(name, contract_rows):
             contracts, graph = tmp_path / f"{name}.csv", tmp_path / f"{name}.ttl"
             contracts.write_text("\n".join([header, *contract_rows]) + "\n", encoding="utf-8")
-            ingested = invoke("ingest", "--contracts", str(contracts), "--roles", str(roles), "--out", str(graph))
-            findings = tmp_path / f"{name}.json"
-            assert invoke("detect", "--in", str(graph), "--out", str(findings))[0] == 0
-            return ingested, invoke("validate", "--in", str(graph)), json.loads(findings.read_text(encoding="utf-8"))
+            return invoke("ingest", "--contracts", str(contracts), "--roles", str(roles), "--out", str(graph)), graph
 
+        def checked(graph):
+            findings = graph.with_suffix(".json")
+            assert invoke("detect", "--in", str(graph), "--out", str(findings))[0] == 0
+            return invoke("validate", "--in", str(graph)), json.loads(findings.read_text(encoding="utf-8"))
+
+        graphs = []
         for i, alone in enumerate(rows):  # either row alone is a finding
-            _, (code, out, _), findings = pipeline(f"alone{i}", [alone])
+            graphs.append(ingest(f"alone{i}", [alone])[1])
+            (code, out, _), findings = checked(graphs[-1])
             assert code == 0 and out.endswith("0 error(s), 0 warning(s), 0 info\n")
             assert [f["patternId"] for f in findings] == ["AWARD-TO-LINKED-ORG"]
-        (code, out, _), (code_v, out_v, _), findings = pipeline("both", rows)
-        assert code == 0 and "contracts: 2 accepted, 0 rejected" in out
+        (code, out, _), _ = ingest("both", rows)  # one CSV cannot give the contract both dates
+        assert code == 0
+        assert "contracts: 1 accepted, 1 rejected\n  row 3: contract_id 'EXP-2018/0042' repeats an earlier row" in out
+        both = tmp_path / "both.ttl"  # two graphs, one per row, can
+        both.write_text("".join(g.read_text(encoding="utf-8") for g in graphs), encoding="utf-8")
+        (code_v, out_v, _), findings = checked(both)
         contract = "<http://ehu.eus/tro/data/contract/EXP-2018%2F0042>"
         award_date = "<http://data.europa.eu/a4g/ontology#awardDate>"
         assert code_v == 0
@@ -396,13 +416,7 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("command", ["ingest", "export-ntriples", "export-turtle", "detect", "vocab"])
     def test_a_pipe_gets_the_data_and_stderr_the_summary(self, pipeline_ttl, tmp_path, command):
         """Written in place, a pipe's stream stays parseable: what would go to stdout goes to stderr."""
-        argv = {
-            "ingest": ["ingest", "--contracts", str(tmp_path / "contracts.csv"), "--roles", str(tmp_path / "roles.csv")],
-            "export-ntriples": ["export", "--in", str(pipeline_ttl)],
-            "export-turtle": ["export", "--in", str(pipeline_ttl), "--format", "turtle"],
-            "detect": ["detect", "--in", str(pipeline_ttl)],
-            "vocab": ["vocab"],
-        }[command]
+        argv = writer_argv(command, pipeline_ttl)
         out_file = tmp_path / "out"
         code, file_out, file_err = invoke(*argv, "--out", str(out_file))
         assert code == 0 and file_err == ""
@@ -419,13 +433,8 @@ class TestAtomicWrites:
 
     @pytest.mark.parametrize("command", ["ingest", "export-ntriples", "detect", "vocab"])
     def test_a_redirected_stdout_gets_the_data_and_stderr_the_summary(self, pipeline_ttl, tmp_path, command):
-        """As with ``--out /dev/stdout > file``: the file is replaced, so the summary must not go to the old one."""
-        argv = {
-            "ingest": ["ingest", "--contracts", str(tmp_path / "contracts.csv"), "--roles", str(tmp_path / "roles.csv")],
-            "export-ntriples": ["export", "--in", str(pipeline_ttl)],
-            "detect": ["detect", "--in", str(pipeline_ttl)],
-            "vocab": ["vocab"],
-        }[command]
+        """As with ``--out /dev/stdout > file``: the data goes through stdout's descriptor, so the summary goes to stderr."""
+        argv = writer_argv(command, pipeline_ttl)
         out_file = tmp_path / "out"
         code, file_out, file_err = invoke(*argv, "--out", str(out_file))
         assert code == 0 and file_err == ""
@@ -433,10 +442,31 @@ class TestAtomicWrites:
         err = io.StringIO()
         with open(redirected, "w", encoding="utf-8") as out:
             code = run([*argv, "--out", str(redirected)], out=out, err=err)
-            assert out.tell() == 0  # nothing went to the file that was replaced
         assert code == 0
         assert redirected.read_bytes() == out_file.read_bytes()
         assert err.getvalue() == file_out.replace(str(out_file), str(redirected))
+
+    @pytest.mark.parametrize("command", ["ingest", "export-ntriples", "detect", "vocab"])
+    def test_a_redirected_stdout_keeps_what_its_file_holds(self, pipeline_ttl, tmp_path, command):
+        """As with ``--out /dev/stdout >> file`` and ``{ echo header; …; echo footer; } > file``."""
+        argv = writer_argv(command, pipeline_ttl)
+        out_file = tmp_path / "out"
+        code, file_out, file_err = invoke(*argv, "--out", str(out_file))
+        assert code == 0 and file_err == ""
+        data = out_file.read_bytes()
+        appended = tmp_path / "appended"
+        appended.write_bytes(b"earlier\n")
+        err = io.StringIO()
+        with open(appended, "a", encoding="utf-8") as out:
+            assert run([*argv, "--out", str(appended)], out=out, err=err) == 0
+        assert appended.read_bytes() == b"earlier\n" + data
+        assert err.getvalue() == file_out.replace(str(out_file), str(appended))
+        grouped = tmp_path / "grouped"
+        with open(grouped, "w", encoding="utf-8") as out:
+            out.write("header\n")
+            assert run([*argv, "--out", str(grouped)], out=out, err=io.StringIO()) == 0
+            out.write("footer\n")
+        assert grouped.read_bytes() == b"header\n" + data + b"footer\n"
 
     def test_escape_without_a_character_is_a_located_parse_error(self, tmp_path):
         bad = tmp_path / "bad.ttl"
@@ -462,7 +492,7 @@ class TestStreamedOutput:
         out_file = tmp_path / "out"
         tracemalloc.start()
         try:
-            cli._write(str(out_file), cli._ntriples_chunks(graph))
+            cli._write(str(out_file), cli._ntriples_chunks(graph), io.StringIO(), io.StringIO())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,7 +511,7 @@ class TestStreamedOutput:
             )
             tracemalloc.start()
             try:
-                cli._write(str(tmp_path / "out.ttl"), cli._turtle_chunks(graph))
+                cli._write(str(tmp_path / "out.ttl"), cli._turtle_chunks(graph), io.StringIO(), io.StringIO())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -538,6 +568,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], out=io.StringIO(), err=io.StringIO()) == 0
         capsys.readouterr()
+
+    def test_module_runs_main(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["trokit", "--help"])
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_module("trokit", run_name="__main__", alter_sys=True)
+        assert exc_info.value.code == 0
+        assert "ingest" in capsys.readouterr().out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from trokit import (
     AWARD_TO_LINKED_ORG,
+    BlankNode,
     DUAL_ROLE,
     Finding,
     Graph,
@@ -360,6 +361,16 @@ class TestAwardPattern:
     )
     def test_malformed_nodes_are_skipped(self, tweaks):
         assert detect_conflicts(award_graph(**tweaks)) == []
+
+    @pytest.mark.parametrize("node", ["role", "contract", "acme"])
+    def test_blank_roles_contracts_and_linked_orgs_are_skipped(self, node):
+        """A finding names its nodes, so detection reads IRIs only."""
+        blank = {Iri(EX + node): BlankNode("b")}
+        graph = Graph()
+        for t in all_triples(award_graph()):
+            graph.insert(Triple(*(blank.get(term, term) for term in (t.subject, t.predicate, t.object))))
+        assert len(detect_conflicts(award_graph())) == 1
+        assert detect_conflicts(graph) == []
 
     def test_boundary_award_dates_count(self):
         for boundary in ("2015-01-01", "2021-01-01"):

@@ -160,6 +160,23 @@ class TestContractRows:
         assert report.accepted == 2
         assert [r.line for r in report.rejected] == [3]
 
+    def test_a_repeated_contract_id_is_accepted_only_as_an_exact_copy(self):
+        """A conflicting copy would merge into the first's node with a second award date."""
+        text = contract_rows(
+            GOOD_CONTRACT,
+            GOOD_CONTRACT,
+            GOOD_CONTRACT.replace("2020-01-01", "2020-02-01"),
+            GOOD_CONTRACT.replace("2020-01-01", "soon"),
+        )
+        records, report = parse_contract_csv(text)
+        assert report.accepted == 2
+        assert [(r.line, r.reason) for r in report.rejected] == [
+            (4, "contract_id 'C-1' repeats an earlier row with different fields"),
+            (5, "award_date 'soon' is not a YYYY-MM-DD date"),  # a malformed copy keeps its own reason
+        ]
+        dates = build_graph(records, [], CFG).objects(Iri(DATA + "contract/C-1"), EPO.awardDate)
+        assert list(dates) == [Literal("2020-01-01", datatype=XSD_DATE)]
+
     def test_quoted_comma_title(self):
         row = 'C-9,"Roads, bridges and tunnels",Alpha,Beta,2020-01-01,10,https://e.org/x'
         records, _ = parse_contract_csv(contract_rows(row))

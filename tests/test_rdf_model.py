@@ -69,6 +69,11 @@ class TestTerms:
         with pytest.raises(ValueError):
             Literal("x", RDF_LANG_STRING)
 
+    @pytest.mark.parametrize("tag", ["en-", "-en", "", "e n", "en_US"])
+    def test_malformed_language_tag_rejected(self, tag):
+        with pytest.raises(ValueError, match="malformed language tag"):
+            Literal("x", language=tag)
+
     def test_language_with_other_datatype_rejected(self):
         with pytest.raises(ValueError):
             Literal("x", XSD_INTEGER, language="en")

@@ -144,6 +144,10 @@ class TestParseErrors:
     def test_literal_subject_rejected(self):
         expect_error('@prefix ex: <http://example.org/> . "x" ex:p ex:b .', "expected subject")
 
+    def test_lang_string_without_a_tag_rejected(self):
+        text = '<a:s> <a:p> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .'
+        expect_error(text, "rdf:langString requires a language tag", line=1, col=18)
+
     def test_blank_predicate_rejected(self):
         expect_error("@prefix ex: <http://example.org/> . ex:a _:p ex:b .", "expected predicate")
 

@@ -211,6 +211,10 @@ class TestVocabularyGraph:
         assert g.match(ONTOLOGY_IRI, VANN.preferredNamespacePrefix, Literal("tro"))
         assert g.match(ONTOLOGY_IRI, OWL.versionInfo, None)
 
+    def test_subclass_edges(self):
+        g = vocabulary_graph(hierarchy_vocab([(C[0], C[1])]))
+        assert g.objects(C[0], Iri("http://www.w3.org/2000/01/rdf-schema#subClassOf")) == [C[1]]
+
     def test_pairwise_disjointness_expansion(self):
         g = vocabulary_graph(builtin_vocabulary())
         links = g.match(None, OWL.disjointWith, None)
