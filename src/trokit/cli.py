@@ -5,21 +5,24 @@ validation ERRORs, 2 usage, I/O, or parse failure. WARN and INFO
 findings never fail a run. A located error names its file, as
 ``error: <path>:<line>:<column>: <message>`` (CSV: no column), and so
 does a byte that is not UTF-8; an output error names ``--out`` as given.
-Outputs are streamed (see ``_write``). Standard output's own file (a pipe, a
-terminal, a ``>``, ``>>`` or grouped redirect) is written through its
-descriptor, so it keeps what it held, and the summary goes to stderr.
+Outputs are streamed (see ``_write``), the findings JSON one finding at a
+time. Standard output's own file (a pipe, a terminal, a ``>``, ``>>`` or
+grouped redirect) is written through its descriptor, so it keeps what it held,
+and the summary goes to stderr; standard error's own file likewise, with the
+summary on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .coi import detect_conflicts, findings_to_json
+from .coi import _findings_chunks, detect_conflicts
 from .ingest import (
     CsvSyntaxError,
     HeaderMismatchError,
@@ -92,23 +95,25 @@ def _read(path: str, parse):
 
 
 def _write(path: str, chunks: Iterable[str], out, err):
-    """Stream chunks to path; return the stream for the summary (``err`` if the
-    bytes went in place). The first chunk is taken before anything is opened, so
-    an error a writer raises before it writes nothing. ``out``'s own file is
-    written through its descriptor, after ``out``'s text and keeping what the
+    """Stream chunks to path; return the stream for the summary, the one the bytes
+    did not go to. The first chunk is taken before anything is opened, so an
+    error a writer raises before it writes nothing. ``out``'s or ``err``'s own
+    file is written through its descriptor, after its text and keeping what the
     file held; another pipe or device is opened in place. A regular file is
     replaced only once the new bytes are complete, so a failed run keeps it."""
     rest = iter(chunks)
     chunks = itertools.chain((next(rest, ""),), rest)
-    try:
-        fd = out.fileno() if os.path.samestat(os.stat(path), os.fstat(out.fileno())) else None
-    except OSError:  # no file at path yet, or a stream with no descriptor (io.UnsupportedOperation)
-        fd = None
+    fd, summary = None, err
+    for stream, other in ((out, err), (err, out)):
+        with contextlib.suppress(OSError):  # no file at path yet, or a stream with no descriptor (io.UnsupportedOperation)
+            if fd is None and os.path.samestat(os.stat(path), os.fstat(stream.fileno())):
+                fd, summary = stream.fileno(), other
     if fd is not None or (Path(path).exists() and not Path(path).is_file()):
         out.flush()
+        err.flush()
         with open(path if fd is None else fd, "w", encoding="utf-8", closefd=fd is None) as stream:
             stream.writelines(chunks)
-        return err
+        return summary
     target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
@@ -167,7 +172,7 @@ def _cmd_detect(args: argparse.Namespace, out, err) -> int:
         print("aborting: the graph has validation errors", file=err)
         return 1
     findings = detect_conflicts(graph)
-    out = _write(args.out, (findings_to_json(findings), "\n"), out, err)
+    out = _write(args.out, itertools.chain(_findings_chunks(findings), "\n"), out, err)
     print(f"wrote {len(findings)} candidate finding(s) to {args.out}", file=out)
     return 0
 

@@ -28,15 +28,19 @@ start-date order, pairing a role only with the earlier roles still
 active at its start, and bisects each such pair's overlap into the lists
 of both org orders. A call costs O(k log k per person of k roles +
 (role-link pairs + overlapping role pairs) · log contracts + findings).
+
+The findings JSON is the text of ``json.dumps(payload, indent=2)``, but
+rendered one finding's block at a time from a fixed template, with the C
+string encoder ``json.dumps`` itself uses, so it is never held whole.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 
 from .namespaces import EPO, TRO
@@ -240,26 +244,31 @@ def detect_conflicts(graph: Graph) -> list[Finding]:
     return sorted(findings, key=Finding.sort_key)
 
 
-def _overlap_json(overlap: Interval | date):
-    if isinstance(overlap, date):
-        return {"date": overlap.isoformat()}
-    return {
-        "start": overlap.start.isoformat(),
-        "end": overlap.end.isoformat() if overlap.end is not None else None,
-    }
+def _iri_list(iris: frozenset[Iri]) -> str:
+    """The IRIs' sorted values as a JSON list, indented as a finding's field."""
+    return "[\n      " + ",\n      ".join(map(_json_str, sorted(i.value for i in iris))) + "\n    ]" if iris else "[]"
+
+
+def _findings_chunks(findings: Iterable[Finding]) -> Iterator[str]:
+    """The text of ``findings_to_json``, one finding's block at a time, from a fixed template."""
+    sep = "[\n"
+    for f in findings:
+        o = f.overlap
+        if isinstance(o, date):
+            overlap = f'"date": "{o.isoformat()}"'
+        else:
+            end = "null" if o.end is None else f'"{o.end.isoformat()}"'
+            overlap = f'"start": "{o.start.isoformat()}",\n      "end": {end}'
+        contract = "null" if f.contract is None else _json_str(f.contract.value)
+        yield (
+            f'{sep}  {{\n    "patternId": {_json_str(f.pattern_id)},\n    "person": {_json_str(f.person.value)},\n'
+            f'    "roleIris": {_iri_list(f.role_iris)},\n    "contract": {contract},\n'
+            f'    "organizations": {_iri_list(f.organizations)},\n    "overlap": {{\n      {overlap}\n    }},\n'
+            f'    "evidence": {_iri_list(f.evidence)}\n  }}'
+        )
+        sep = ",\n"
+    yield "\n]" if sep == ",\n" else "[]"
 
 
 def findings_to_json(findings: list[Finding]) -> str:
-    payload = [
-        {
-            "patternId": f.pattern_id,
-            "person": f.person.value,
-            "roleIris": sorted(r.value for r in f.role_iris),
-            "contract": f.contract.value if f.contract else None,
-            "organizations": sorted(o.value for o in f.organizations),
-            "overlap": _overlap_json(f.overlap),
-            "evidence": sorted(e.value for e in f.evidence),
-        }
-        for f in findings
-    ]
-    return json.dumps(payload, indent=2)
+    return "".join(_findings_chunks(findings))

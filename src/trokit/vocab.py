@@ -222,28 +222,12 @@ def builtin_vocabulary() -> Vocabulary:
         ),
         _obj_prop(TRO.roleOf, "role of", "The person who holds this role."),
         _obj_prop(TRO.roleIn, "role in", "The organization in which this role is held."),
-        _obj_prop(
-            TRO.hasEvidence,
-            "has evidence",
-            "Links a statement-bearing node to a document backing it.",
-        ),
-        _data_prop(
-            TRO.evidenceURL,
-            "evidence URL",
-            "The URL at which the evidence document can be retrieved.",
-        ),
+        _obj_prop(TRO.hasEvidence, "has evidence", "Links a statement-bearing node to a document backing it."),
+        _data_prop(TRO.evidenceURL, "evidence URL", "The URL at which the evidence document can be retrieved."),
         _data_prop(TRO.startDate, "start date", "The date on which a role begins."),
-        _data_prop(
-            TRO.endDate,
-            "end date",
-            "The date on which a role ends; omitted while the role is ongoing.",
-        ),
+        _data_prop(TRO.endDate, "end date", "The date on which a role ends; omitted while the role is ongoing."),
         _obj_prop(TRO.ownerOf, "owner of", "Links a person to an organization they own."),
-        _obj_prop(
-            TRO.affiliatedWith,
-            "affiliated with",
-            "Links a person to an organization they are affiliated with.",
-        ),
+        _obj_prop(TRO.affiliatedWith, "affiliated with", "Links a person to an organization they are affiliated with."),
         _obj_prop(EPO.awardedBy, "awarded by", "The organization awarding the contract."),
         _obj_prop(EPO.awardedTo, "awarded to", "The organization the contract is awarded to."),
         _data_prop(EPO.awardDate, "award date", "The date on which the contract was awarded."),

@@ -468,6 +468,21 @@ class TestAtomicWrites:
             out.write("footer\n")
         assert grouped.read_bytes() == b"header\n" + data + b"footer\n"
 
+    @pytest.mark.parametrize("command", ["export-ntriples", "detect"])
+    def test_stderr_redirected_to_a_file_gets_the_data_and_stdout_the_summary(self, pipeline_ttl, tmp_path, command):
+        """As with ``--out /dev/stderr 2>> log``: the data goes through stderr's descriptor, after what the file held."""
+        argv = writer_argv(command, pipeline_ttl)
+        out_file = tmp_path / "out"
+        code, file_out, file_err = invoke(*argv, "--out", str(out_file))
+        assert code == 0 and file_err == ""
+        log = tmp_path / "log"
+        log.write_bytes(b"earlier\n")
+        with open(log, "ab") as stderr:
+            proc = subprocess.run([sys.executable, "-m", "trokit", *argv, "--out", "/dev/stderr"], stdout=subprocess.PIPE, stderr=stderr)
+        assert proc.returncode == 0
+        assert log.read_bytes() == b"earlier\n" + out_file.read_bytes()
+        assert proc.stdout.decode("utf-8") == file_out.replace(str(out_file), "/dev/stderr")
+
     def test_escape_without_a_character_is_a_located_parse_error(self, tmp_path):
         bad = tmp_path / "bad.ttl"
         bad.write_text('<http://e.org/a> <http://e.org/p> "\\UFFFFFFFF" .\n', encoding="utf-8")

@@ -1,9 +1,11 @@
 """Conflict-pattern detection against an independent brute-force oracle."""
 
+import io
 import json
 import random
 import re
 import runpy
+import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -26,6 +28,7 @@ from trokit import (
     MintConfig,
     Triple,
     build_graph,
+    cli,
     coi,
     detect_conflicts,
     findings_to_json,
@@ -701,3 +704,81 @@ class TestExports:
         (finding,) = detect_conflicts(g)
         obj = json.loads(findings_to_json([finding]))[0]
         assert obj["overlap"] == {"start": "2018-01-01", "end": None}
+
+
+_IRI_TEXT = st.lists(
+    st.sampled_from(["%20", "%C3%A9", "%25", "/", "#", "é", "ñ", "ασφάλεια", "\U0001d4b3", "\x7f", "\x85"])
+    | st.characters(min_codepoint=0x21, blacklist_categories=("Cs",), blacklist_characters='<>"{}|^`\\'),
+    max_size=12,
+).map("".join)
+_IRIS = st.builds(lambda text: Iri("http://e.org/" + text), _IRI_TEXT)
+
+
+@st.composite
+def any_findings(draw):
+    """Any finding ``Finding`` accepts: either pattern or another name, an open or closed interval or a date,
+    and sets of IRIs with non-ASCII and %-escaped text, empty where the pattern allows it."""
+    pattern = draw(st.sampled_from([AWARD_TO_LINKED_ORG, DUAL_ROLE]) | st.text(max_size=8))
+    return Finding(
+        pattern,
+        draw(_IRIS),
+        draw(st.frozensets(_IRIS, min_size=2 if pattern == DUAL_ROLE else 0, max_size=4)),
+        draw(_IRIS if pattern == AWARD_TO_LINKED_ORG else st.none() | _IRIS),
+        draw(st.frozensets(_IRIS, max_size=3)),
+        draw(st.dates() | intervals()),
+        draw(st.frozensets(_IRIS, min_size=1, max_size=4)),
+    )
+
+
+def dumped(findings: list[Finding]) -> str:
+    """The findings as one ``json.dumps`` of the whole payload renders them: the template's reference."""
+    payload = [
+        {
+            "patternId": f.pattern_id,
+            "person": f.person.value,
+            "roleIris": sorted(r.value for r in f.role_iris),
+            "contract": f.contract.value if f.contract else None,
+            "organizations": sorted(o.value for o in f.organizations),
+            "overlap": (
+                {"date": f.overlap.isoformat()}
+                if isinstance(f.overlap, date)
+                else {"start": f.overlap.start.isoformat(), "end": f.overlap.end.isoformat() if f.overlap.end else None}
+            ),
+            "evidence": sorted(e.value for e in f.evidence),
+        }
+        for f in findings
+    ]
+    return json.dumps(payload, indent=2)
+
+
+class TestStreamedJson:
+    @given(st.lists(any_findings(), max_size=4))
+    def test_chunks_are_one_dump_of_the_payload(self, fs):
+        chunks = list(coi._findings_chunks(fs))
+        assert len(chunks) == len(fs) + 1  # one block per finding, then the closing bracket
+        assert "".join(chunks) == dumped(fs) == findings_to_json(fs)
+
+    def test_detect_peaks_no_higher_than_validate(self, corpus, tmp_path):
+        """On the role-dense benchmark corpus the findings JSON is 0.66 MB. Streamed one
+        block at a time it adds little to the graph both commands hold; rendered whole,
+        with the payload it came from, it lifted detect's peak 60% above validate's."""
+        data = corpus.generate("watchlist", 1)
+        (tmp_path / "contracts.csv").write_text(data.contracts_csv, encoding="utf-8")
+        (tmp_path / "roles.csv").write_text(data.roles_csv, encoding="utf-8")
+        graph = str(tmp_path / "graph.ttl")
+
+        def peak(*argv):
+            tracemalloc.start()
+            try:
+                assert cli.run(list(argv), out=io.StringIO(), err=io.StringIO()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        csvs = ["--contracts", str(tmp_path / "contracts.csv"), "--roles", str(tmp_path / "roles.csv")]
+        for argv in (["ingest", *csvs, "--out", graph], ["validate", "--in", graph]):  # what a first run caches is in neither peak
+            assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+        validate = peak("validate", "--in", graph)
+        detect = peak("detect", "--in", graph, "--out", str(tmp_path / "findings.json"))
+        assert (tmp_path / "findings.json").stat().st_size > 600_000
+        assert detect <= 1.10 * validate, (detect, validate)
