@@ -11,8 +11,8 @@ Two fixed temporal co-occurrence patterns over the graph:
 
 Findings are candidates, pointers for human review, never assessments.
 Every finding carries the evidence nodes backing its roles and
-contracts. Malformed nodes (unparseable or ambiguous dates, roles with
-no evidence) are skipped, not reported; that is the validator's job.
+contracts. A node ``_role_interval`` or ``_award_date`` judges unusable
+is skipped; validate reports it, with that reason, as DETECTION-SKIP.
 
 A role's dates form a ``util.Interval``: closed, and a missing end date
 means the role is ongoing and the interval extends forever. A role
@@ -45,7 +45,7 @@ from operator import attrgetter
 
 from .namespaces import EPO, TRO
 from .rdf_core import Graph, Iri
-from .util import Interval, xsd_dates
+from .util import Interval, InvalidIntervalError, xsd_dates
 
 AWARD_TO_LINKED_ORG = "AWARD-TO-LINKED-ORG"
 DUAL_ROLE = "DUAL-ROLE"
@@ -86,27 +86,45 @@ class Finding:
         )
 
 
-def _single_date(objects) -> date | None:
-    """The unique well-formed date value, or None when absent/ambiguous."""
-    values = set(xsd_dates(objects))
-    return values.pop() if len(values) == 1 else None
-
-
-def _role_interval(po: dict) -> Interval | None:
-    start = _single_date(po.get(TRO.startDate, ()))
-    if start is None:
-        return None
-    end_objs = po.get(TRO.endDate)
-    if not end_objs:
-        return Interval(start, None)
-    end = _single_date(end_objs)
-    if end is None or end < start:
-        return None
-    return Interval(start, end)
-
-
 def _iris(values) -> list[Iri]:
     return [o for o in values if isinstance(o, Iri)]
+
+
+def _unnamed(node, po: dict, props: tuple[Iri, ...] = ()) -> str | None:
+    """Why a finding could not name the node or its ``props``: it is blank, or one of them has no IRI value."""
+    if not isinstance(node, Iri):
+        return "a finding cannot name a blank node"
+    for prop in props:
+        if not _iris(po.get(prop, ())):
+            return f"no IRI value of {prop}"
+    return None
+
+
+def _date_value(po: dict, prop: Iri) -> date | str:
+    """The node's one ``prop`` date, or why it has none."""
+    values = po.get(prop, ())
+    if len(values) != 1:
+        return f"{len(values)} values of {prop}" if values else f"no value of {prop}"
+    (parsed,) = xsd_dates(values)
+    return f"value of {prop} is not a date" if parsed is None else parsed
+
+
+def _role_interval(node, po: dict) -> Interval | str:
+    """The role's interval, or the first reason detection skips the node."""
+    start = _unnamed(node, po, (TRO.roleOf, TRO.roleIn, TRO.hasEvidence)) or _date_value(po, TRO.startDate)
+    end = _date_value(po, TRO.endDate) if TRO.endDate in po else None
+    if isinstance(start, str) or isinstance(end, str):
+        return start if isinstance(start, str) else end
+    try:
+        return Interval(start, end)
+    except InvalidIntervalError as error:
+        return str(error)
+
+
+def _award_date(node, po: dict) -> date | str:
+    """The contract's award date, or the first reason detection skips the node."""
+    awarded = _unnamed(node, po) or _date_value(po, EPO.awardDate)
+    return awarded if isinstance(awarded, str) else _unnamed(node, po, (EPO.awardedBy, EPO.awardedTo)) or awarded
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,15 +149,12 @@ _AWARD_DATE = attrgetter("award_date")
 def _collect_roles(graph: Graph) -> list[_Role]:
     roles = []
     for role in graph.subjects(TRO.roleOf):
-        if not isinstance(role, Iri):
-            continue
         po = graph._spo[role]
-        interval = _role_interval(po)
-        evidence = frozenset(_iris(po.get(TRO.hasEvidence, ())))
-        if interval is None or not evidence:
+        if isinstance(interval := _role_interval(role, po), str):
             continue
+        evidence = frozenset(_iris(po[TRO.hasEvidence]))
         for person in _iris(po[TRO.roleOf]):
-            for org in _iris(po.get(TRO.roleIn, ())):
+            for org in _iris(po[TRO.roleIn]):
                 roles.append(_Role(role, person, org, interval, evidence))
     return roles
 
@@ -149,11 +164,8 @@ def _linked_orgs(graph: Graph) -> dict[Iri, set[Iri]]:
     links: dict[Iri, set[Iri]] = {}
     for prop in (TRO.ownerOf, TRO.affiliatedWith):
         for org, people in graph._pos.get(prop, {}).items():
-            if not isinstance(org, Iri):
-                continue
-            for person in people:
-                if isinstance(person, Iri):
-                    links.setdefault(person, set()).add(org)
+            for person in people:  # a blank person or org is never looked up: roles and contracts name IRIs only
+                links.setdefault(person, set()).add(org)
     return links
 
 
@@ -161,15 +173,12 @@ def _index_contracts(graph: Graph) -> dict[tuple[Iri, Iri], list[_Contract]]:
     """The usable contracts by ordered (awardedBy, awardedTo) org pair, each list sorted by award date."""
     by_pair: dict[tuple[Iri, Iri], list[_Contract]] = {}
     for node in graph.subjects(EPO.awardDate):
-        if not isinstance(node, Iri):
-            continue
         po = graph._spo[node]
-        awarded = _single_date(po[EPO.awardDate])
-        if awarded is None:
+        if isinstance(awarded := _award_date(node, po), str):
             continue
         contract = _Contract(node, awarded, frozenset(_iris(po.get(TRO.hasEvidence, ()))))
-        winners = _iris(po.get(EPO.awardedTo, ()))
-        for awarder in _iris(po.get(EPO.awardedBy, ())):
+        winners = _iris(po[EPO.awardedTo])
+        for awarder in _iris(po[EPO.awardedBy]):
             for winner in winners:
                 by_pair.setdefault((awarder, winner), []).append(contract)
     for contracts in by_pair.values():

@@ -33,7 +33,7 @@ from .rdf_core import (
     Iri,
     Literal,
 )
-from .util import parse_iso_date
+from .util import Interval, InvalidIntervalError, parse_iso_date
 
 CONTRACT_HEADER = [
     "contract_id",
@@ -211,8 +211,10 @@ def _role_record(
         _name(field, value)
     start_date = _date("start_date", start)
     end_date = _date("end_date", end) if end else None
-    if end_date is not None and end_date < start_date:
-        raise _Rejected(f"end_date {end!r} precedes start_date {start!r}")
+    try:
+        Interval(start_date, end_date)
+    except InvalidIntervalError:
+        raise _Rejected(f"end_date {end!r} precedes start_date {start!r}") from None
     if relation and relation not in RELATIONS:
         raise _Rejected(f"relation {relation!r} is not one of {RELATIONS} or empty")
     if bool(relation) != bool(related):

@@ -11,7 +11,7 @@ exceptions, so one pass surfaces everything at once:
   ERROR  INTERVAL-ORDER    end date precedes start date
   WARN   UNKNOWN-TERM      vocabulary-namespace IRI not in the registry
   WARN   NO-LABEL          declared class/property without rdfs:label
-  WARN   AMBIGUOUS-DATE    start, end or award date with two or more values
+  WARN   DETECTION-SKIP    role or contract that detection skips, and why
   INFO   NO-PROVENANCE     ontology header missing provenance fields
   INFO   NO-VERSION        ontology header missing a version marker
 
@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .coi import _award_date, _role_interval
 from .namespaces import DC, DCTERMS, EPO, OWL, RDFS, TRO
 from .rdf_core import RDF_LANG_STRING, RDF_TYPE, XSD_STRING, BlankNode, Graph, Iri, Literal, Term
 from .util import DATE_SUFFIX, xsd_dates
@@ -76,21 +77,11 @@ class Report:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "entries": [
-                    {
-                        "severity": str(e.severity),
-                        "ruleId": e.rule_id,
-                        "focus": e.focus,
-                        "message": e.message,
-                    }
-                    for e in self.entries
-                ],
-                "counts": self.counts,
-            },
-            indent=2,
-        )
+        entries = [
+            {"severity": str(e.severity), "ruleId": e.rule_id, "focus": e.focus, "message": e.message}
+            for e in self.entries
+        ]
+        return json.dumps({"entries": entries, "counts": self.counts}, indent=2)
 
 
 def _types(graph: Graph, vocab: Vocabulary) -> dict[Iri | BlankNode, set[Iri]]:
@@ -177,11 +168,11 @@ def _no_label(graph: Graph, types, vocab: Vocabulary):
             yield node, "declared term has no rdfs:label"
 
 
-def _ambiguous_date(graph: Graph, types, vocab: Vocabulary):
-    for prop in (TRO.startDate, TRO.endDate, EPO.awardDate):  # the dates detection reads
+def _detection_skip(graph: Graph, types, vocab: Vocabulary):
+    for prop, usable in ((TRO.roleOf, _role_interval), (EPO.awardDate, _award_date)):
         for node in graph.subjects(prop):
-            if (count := len(graph._spo[node][prop])) > 1:
-                yield node, f"{count} values of {prop}: detection skips the node"
+            if isinstance(reason := usable(node, graph._spo[node]), str):
+                yield node, f"{reason}: detection skips the node"
 
 
 def _no_provenance(graph: Graph, types, vocab: Vocabulary):
@@ -206,7 +197,7 @@ RULES = (
     ("INTERVAL-ORDER", Severity.ERROR, _interval_order),
     ("UNKNOWN-TERM", Severity.WARN, _unknown_term),
     ("NO-LABEL", Severity.WARN, _no_label),
-    ("AMBIGUOUS-DATE", Severity.WARN, _ambiguous_date),
+    ("DETECTION-SKIP", Severity.WARN, _detection_skip),
     ("NO-PROVENANCE", Severity.INFO, _no_provenance),
     ("NO-VERSION", Severity.INFO, _no_version),
 )

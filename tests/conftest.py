@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import functools
 import random
+import runpy
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -273,3 +275,9 @@ def contracts_csv() -> str:
 @pytest.fixture(scope="session")
 def roles_csv() -> str:
     return (FIXTURES / "roles.csv").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """perfbench's corpus generator, read from its file: it imports nothing from trokit."""
+    return SimpleNamespace(**runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")))

@@ -5,18 +5,25 @@ copies the graph, adds the superclass typings from closures computed
 naively from ``subclass_edges()``, and answers every rule through the
 public ``match`` / ``subjects`` / ``objects`` API and iteration. ``check`` reads the graph's indexes instead; both must produce the
 same report bytes on random graphs under random subclass hierarchies.
+Its DETECTION-SKIP reads the triples and nothing of ``coi``; the last
+tests hold that rule's foci to the nodes ``test_coi``'s brute-force
+detection oracle leaves out.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
+
+import pytest
 
 from trokit import (
     BlankNode,
     Disjointness,
     Iri,
     Literal,
+    MintConfig,
     PropertyRange,
     RequiredProperty,
     SubClassOf,
@@ -24,15 +31,19 @@ from trokit import (
     Triple,
     VocabTerm,
     Vocabulary,
+    build_graph,
     builtin_vocabulary,
     check,
+    parse_contract_csv,
+    parse_role_csv,
 )
 from trokit.namespaces import DC, DCTERMS, EPO, GIST, OWL, RDFS, SCHEMA, TRO, XSD
 from trokit.rdf_core import RDF_LANG_STRING, RDF_TYPE, XSD_DATE, Graph
 from trokit.util import parse_iso_date
 from trokit.validate import Report, ReportEntry, Severity
 
-from conftest import all_triples, graph_of, naive_closures
+from conftest import all_triples, graph_of, naive_closures, random_coi_graph
+from test_coi import brute_force_usable
 
 _PROVENANCE_PROPS = (DC.contributor, DCTERMS.created, DCTERMS.modified, DC.date)
 _DECLARED_KINDS = (OWL.Class, OWL.ObjectProperty, OWL.DatatypeProperty, OWL.AnnotationProperty)
@@ -142,16 +153,44 @@ def reference_check(graph: Graph, vocab: Vocabulary) -> Report:
         if node_types.intersection(_DECLARED_KINDS) and not g.match(node, RDFS.label, None):
             report(Severity.WARN, "NO-LABEL", node, "declared term has no rdfs:label")
 
-    for prop in (TRO.startDate, TRO.endDate, EPO.awardDate):
+    def no_iri(node, props):
+        for prop in props:
+            if not [o for o in g.objects(node, prop) if isinstance(o, Iri)]:
+                return f"no IRI value of {prop.n3()}"
+        return None
+
+    def one_date(node, prop):
+        """(the one date value, None), or (None, why there is none)."""
+        values = g.objects(node, prop)
+        if len(values) != 1:
+            return None, f"{len(values)} values of {prop.n3()}" if values else f"no value of {prop.n3()}"
+        value = values[0]
+        parsed = parse_iso_date(value.lexical) if isinstance(value, Literal) and value.datatype == XSD_DATE else None
+        return parsed, None if parsed else f"value of {prop.n3()} is not a date"
+
+    def role_skip(node):
+        if isinstance(node, BlankNode):
+            return "a finding cannot name a blank node"
+        if reason := no_iri(node, (TRO.roleOf, TRO.roleIn, TRO.hasEvidence)):
+            return reason
+        start, reason = one_date(node, TRO.startDate)
+        if reason or not g.objects(node, TRO.endDate):
+            return reason
+        end, reason = one_date(node, TRO.endDate)
+        if reason is None and end < start:
+            reason = f"end {end.isoformat()} precedes start {start.isoformat()}"
+        return reason
+
+    def contract_skip(node):
+        if isinstance(node, BlankNode):
+            return "a finding cannot name a blank node"
+        _, reason = one_date(node, EPO.awardDate)
+        return reason or no_iri(node, (EPO.awardedBy, EPO.awardedTo))
+
+    for prop, skip in ((TRO.roleOf, role_skip), (EPO.awardDate, contract_skip)):
         for node in g.subjects(prop, None):
-            values = g.objects(node, prop)
-            if len(values) > 1:
-                report(
-                    Severity.WARN,
-                    "AMBIGUOUS-DATE",
-                    node,
-                    f"{len(values)} values of {prop.n3()}: detection skips the node",
-                )
+            if reason := skip(node):
+                report(Severity.WARN, "DETECTION-SKIP", node, f"{reason}: detection skips the node")
 
     for node in g.subjects(RDF_TYPE, OWL.Ontology):
         missing = [p for p in _PROVENANCE_PROPS if not g.match(node, p, None)]
@@ -172,7 +211,7 @@ _DATES = ["2019-01-01", "2019-06-30", "2020-02-29", "2021-12-31", "2020-02-30", 
 _NODES = [Iri(f"http://example.org/n{i}") for i in range(6)] + [BlankNode(f"b{i}") for i in range(3)]
 _PROPS = [
     TRO.roleOf, TRO.roleIn, TRO.hasEvidence, TRO.evidenceURL, TRO.startDate, TRO.endDate,
-    EPO.awardedBy, EPO.awardDate, SCHEMA.name, RDFS.label, OWL.versionInfo, *_PROVENANCE_PROPS,
+    EPO.awardedBy, EPO.awardedTo, EPO.awardDate, SCHEMA.name, RDFS.label, OWL.versionInfo, *_PROVENANCE_PROPS,
     TRO.undefinedProp, Iri("http://elsewhere.org/p"),
 ]
 _TYPES = [
@@ -216,8 +255,9 @@ def _date(rng: random.Random) -> Literal:
 
 def random_check_graph(rng: random.Random) -> Graph:
     """Typed nodes (IRIs and blank nodes) with malformed and repeated
-    dates, start/end pairs in both orders, ontology headers, disjoint
-    typings and terms the vocabulary does not define."""
+    dates, start/end pairs in both orders, role- and contract-shaped
+    nodes, ontology headers, disjoint typings and terms the vocabulary
+    does not define."""
     g = Graph()
     for _ in range(rng.randrange(1, 12)):
         node = rng.choice(_NODES)
@@ -240,6 +280,16 @@ def random_check_graph(rng: random.Random) -> Graph:
         node = rng.choice(_NODES)
         g.insert(Triple(node, TRO.startDate, _date(rng)))
         g.insert(Triple(node, TRO.endDate, _date(rng)))
+    for _ in range(rng.randrange(3)):  # role- and contract-shaped nodes, some usable by detection
+        role, contract = rng.choice(_NODES), rng.choice(_NODES)
+        for prop in (TRO.roleOf, TRO.roleIn, TRO.hasEvidence):
+            g.insert(Triple(role, prop, rng.choice(_NODES)))
+        for prop in (EPO.awardedBy, EPO.awardedTo):
+            g.insert(Triple(contract, prop, rng.choice(_NODES)))
+        for prop in (TRO.startDate, TRO.endDate):
+            for _ in range(rng.randrange(3)):
+                g.insert(Triple(role, prop, _date(rng)))
+        g.insert(Triple(contract, EPO.awardDate, _date(rng)))
     return g
 
 
@@ -254,7 +304,7 @@ def test_check_matches_reference_on_random_graphs():
         fired.update({e.rule_id for e in report.entries})
     rules = (
         "DISJOINT-CLASH MISSING-REQUIRED BAD-RANGE BAD-DATE INTERVAL-ORDER "
-        "UNKNOWN-TERM NO-LABEL AMBIGUOUS-DATE NO-PROVENANCE NO-VERSION"
+        "UNKNOWN-TERM NO-LABEL DETECTION-SKIP NO-PROVENANCE NO-VERSION"
     ).split()
     assert set(fired) == set(rules)
     assert all(fired[rule] >= 20 for rule in rules), fired
@@ -317,3 +367,45 @@ def test_bad_range_reads_each_datatype_exactly():
         typed = [v for v in values if isinstance(v, Literal) and v.datatype == expected]
         assert bad[f"value of {prop} is not a {expected} literal"] == len(values) - len(typed) > 0
     assert report.to_json() == reference_check(g, vocab).to_json()
+
+
+def _dropped_by_oracle(graph: Graph) -> Counter:
+    """Each tro:roleOf subject and each epo:awardDate subject that the brute-force detection oracle leaves out."""
+    triples = list(all_triples(graph))
+    dropped: Counter = Counter()
+    for prop, used in zip((TRO.roleOf, EPO.awardDate), brute_force_usable(triples)):
+        dropped.update({t.subject for t in triples if t.predicate == prop} - {u[0] for u in used})
+    return dropped
+
+
+_SKIP_REASONS = {
+    "a finding cannot name a blank node",
+    *(f"no IRI value of {p}" for p in (TRO.roleOf, TRO.roleIn, TRO.hasEvidence, EPO.awardedBy, EPO.awardedTo)),
+    f"no value of {TRO.startDate}",
+    *(f"N values of {p}" for p in (TRO.startDate, TRO.endDate, EPO.awardDate)),
+    *(f"value of {p} is not a date" for p in (TRO.startDate, TRO.endDate, EPO.awardDate)),
+    "end N-N-N precedes start N-N-N",
+}
+
+
+def test_detection_skips_are_the_nodes_the_oracle_drops():
+    """validate reports a node exactly when the brute-force oracle leaves it out of detection, and every
+    skip reason is met."""
+    reasons = set()
+    for seed in range(500):
+        rng = random.Random(seed)
+        for graph in (random_check_graph(rng), random_coi_graph(rng)):
+            entries = [e for e in check(graph, BUILTIN).entries if e.rule_id == "DETECTION-SKIP"]
+            assert Counter(e.focus for e in entries) == _dropped_by_oracle(graph), seed
+            reasons.update(re.sub(r"\b\d+\b", "N", e.message.removesuffix(": detection skips the node")) for e in entries)
+    assert reasons == _SKIP_REASONS, reasons
+
+
+@pytest.mark.parametrize("workload", ["registry", "watchlist", "dossier"])
+def test_benchmark_corpora_skip_nothing(corpus, workload):
+    data = corpus.generate(workload, 1)
+    contracts, _ = parse_contract_csv(data.contracts_csv)
+    roles, _ = parse_role_csv(data.roles_csv)
+    g = build_graph(contracts, roles, MintConfig(Iri(corpus.BASE)))
+    assert [e for e in check(g, BUILTIN).entries if e.rule_id == "DETECTION-SKIP"] == []
+    assert _dropped_by_oracle(g) == Counter()

@@ -300,7 +300,7 @@ class TestDetect:
         contract = "<http://ehu.eus/tro/data/contract/EXP-2018%2F0042>"
         award_date = "<http://data.europa.eu/a4g/ontology#awardDate>"
         assert code_v == 0
-        assert out_v.splitlines()[0] == f"WARN AMBIGUOUS-DATE {contract} 2 values of {award_date}: detection skips the node"
+        assert out_v.splitlines()[0] == f"WARN DETECTION-SKIP {contract} 2 values of {award_date}: detection skips the node"
         assert out_v.endswith("0 error(s), 1 warning(s), 0 info\n")
         assert findings == []
 

@@ -110,7 +110,8 @@ class TestRuleCatalog:
             ("interval_order.ttl", "INTERVAL-ORDER", Severity.ERROR, 1),
             ("unknown_term.ttl", "UNKNOWN-TERM", Severity.WARN, 2),
             ("no_label.ttl", "NO-LABEL", Severity.WARN, 1),
-            ("ambiguous_date.ttl", "AMBIGUOUS-DATE", Severity.WARN, 1),
+            ("ambiguous_date.ttl", "DETECTION-SKIP", Severity.WARN, 1),
+            ("detection_skip.ttl", "DETECTION-SKIP", Severity.WARN, 3),
             ("no_provenance.ttl", "NO-PROVENANCE", Severity.INFO, 1),
             ("no_version.ttl", "NO-VERSION", Severity.INFO, 1),
         ],
